@@ -58,8 +58,8 @@ class _QuantumMachine(CallbackMachine):
     quantum.  Every boundary is scheduled at exactly the slot the
     generator version's event occupied (see ``repro.sim.machines``), so
     firing order — and therefore every DRAM arbitration decision — is
-    bit-identical to the process version (``scripts/smoke_engine.py``
-    enforces this).
+    bit-identical to the process version (the golden-digest gate,
+    ``tests/test_golden.py``, pins this).
 
     Callers guarantee ``read_bytes`` and ``cu_bytes`` are positive (every
     ring step reads at least the local copy and reduces it).

@@ -81,7 +81,7 @@ STALLS = ((4_000.0, 0.3), (8_000.0, 0.5), (16_000.0, 0.8))  # (ns, prob)
 STRAGGLER_FACTORS = (1.5, 2.0, 3.0)      # compute slowdown
 
 #: the two fused schedulers exercised per scenario.
-SCHEDULERS: Tuple[str, ...] = ("T3", "T3-MCA")
+FUSED_CONFIGS: Tuple[str, ...] = ("T3", "T3-MCA")
 
 #: seeds per (kind, severity, topology, scheduler) cell.
 FAST_SEEDS = 4
@@ -200,7 +200,7 @@ def campaign_scenarios(seeds: int = FAST_SEEDS) -> List[ChaosScenario]:
     for kind in FAULT_KINDS:
         for severity in SEVERITIES:
             for spec in TOPOLOGIES:
-                for scheduler in SCHEDULERS:
+                for scheduler in FUSED_CONFIGS:
                     for seed in range(seeds):
                         plan, detail = _fault_for(kind, severity, spec,
                                                   seed)
@@ -511,7 +511,7 @@ class ChaosResult:
                  f"{len(FAULT_KINDS)} fault kinds x "
                  f"{len(SEVERITIES)} severities x "
                  f"{len(TOPOLOGIES)} topologies x "
-                 f"{len(SCHEDULERS)} schedulers x seeds; "
+                 f"{len(FUSED_CONFIGS)} schedulers x seeds; "
                  f"shape {CHAOS_SHAPE.name})", ""]
         header = (f"  {'fault kind':<18}{'severity':<10}"
                   f"{'baseline':>9}  {'resilient':>9}  {'recoveries':>10}"

@@ -13,6 +13,13 @@ reason about:
   stage window (stage boundaries are the slowest GPU's ``stage_end``),
   locating *where* on the critical path exposure happens.
 
+The algorithms (:func:`breakdown`, :func:`stage_windows`,
+:func:`plan_phases`) take plain interval inputs — compute intervals,
+comm intervals, ``stage_end`` samples and per-phase DMA intervals — so
+the live registry (this module's adapters) and a saved trace
+(:mod:`repro.trace.decomposition`) feed the same code and agree by
+construction.
+
 All interval algebra is machine-level: a communication interval counts as
 hidden when *any* GPU is computing during it, mirroring how the paper's
 timelines (Figure 2) are drawn.  Sequential runs serialize their phases,
@@ -27,7 +34,7 @@ as a Sequential-relative ratio (speedup-style).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.metrics import SpeedupTable
 from repro.obs import intervals as iv
@@ -40,31 +47,6 @@ PROFILED_CONFIGS = ("Sequential", "T3", "T3-MCA")
 #: exposed-time floor (ns) for ratio aggregation: a perfectly-hidden run
 #: would otherwise divide by zero.
 _EXPOSED_FLOOR_NS = 1.0
-
-
-def _machine_spans(registry: MetricsRegistry, component: str,
-                   names: Optional[List[str]] = None) -> List[iv.Interval]:
-    """Union of the named span lists across every scope of ``component``."""
-    spans: List[iv.Interval] = []
-    for scope in registry.scopes(component):
-        for name in (names if names is not None else scope.span_names()):
-            span_list = scope.spans(name)
-            spans.extend(span_list.spans)
-    return iv.merge(spans)
-
-
-def compute_spans(registry: MetricsRegistry) -> List[iv.Interval]:
-    """Machine-level kernel-execution intervals."""
-    return _machine_spans(registry, "compute", ["kernel"])
-
-
-def comm_spans(registry: MetricsRegistry) -> List[iv.Interval]:
-    """Machine-level communication intervals: link serialization plus
-    comm-stream DRAM service (the reduce-scatter's NMC updates / remote
-    writes and the collectives' landing writes)."""
-    spans = _machine_spans(registry, "link")
-    spans.extend(_machine_spans(registry, "dram", ["comm_service"]))
-    return iv.merge(spans)
 
 
 @dataclass
@@ -127,42 +109,37 @@ class StageAttribution:
         }
 
 
-def decompose(registry: MetricsRegistry,
-              total_ns: Optional[float] = None) -> OverlapBreakdown:
-    """Machine-level overlap decomposition of one profiled run."""
-    compute = compute_spans(registry)
-    comm = comm_spans(registry)
-    hidden = iv.intersect(comm, compute)
-    exposed = iv.subtract(comm, compute)
+def breakdown(compute: List[iv.Interval], comm: List[iv.Interval],
+              total_ns: float) -> OverlapBreakdown:
+    """Split merged ``comm`` intervals into hidden (under ``compute``)
+    and exposed time."""
     return OverlapBreakdown(
-        total_ns=registry.end_time() if total_ns is None else total_ns,
+        total_ns=total_ns,
         compute_ns=iv.total(compute),
         comm_ns=iv.total(comm),
-        hidden_ns=iv.total(hidden),
-        exposed_ns=iv.total(exposed),
+        hidden_ns=iv.total(iv.intersect(comm, compute)),
+        exposed_ns=iv.total(iv.subtract(comm, compute)),
     )
 
 
-def stage_boundaries(registry: MetricsRegistry) -> List[float]:
-    """Per-stage critical-path boundary: the *slowest* GPU's stage end."""
+def stage_ends(samples: Iterable[Tuple[float, float]]) -> List[float]:
+    """Per-stage critical-path boundary from ``(time, stage)``
+    ``stage_end`` samples: the *slowest* GPU's end of each stage."""
     per_stage: Dict[int, float] = {}
-    for scope in registry.scopes("gemm"):
-        series = scope.get_series("stage_end")
-        if series is None:
-            continue
-        for when, stage in zip(series.times, series.values):
-            index = int(stage)
-            per_stage[index] = max(per_stage.get(index, 0.0), when)
+    for when, stage in samples:
+        index = int(stage)
+        per_stage[index] = max(per_stage.get(index, 0.0), when)
     return [per_stage[index] for index in sorted(per_stage)]
 
 
-def attribute_stages(registry: MetricsRegistry) -> List[StageAttribution]:
-    """Split each GEMM-stage window into compute / hidden / exposed."""
-    boundaries = stage_boundaries(registry)
+def stage_windows(compute: List[iv.Interval], comm: List[iv.Interval],
+                  samples: Iterable[Tuple[float, float]],
+                  ) -> List[StageAttribution]:
+    """Split each GEMM-stage window (bounded by :func:`stage_ends`) into
+    compute / hidden / exposed time."""
+    boundaries = stage_ends(samples)
     if not boundaries:
         return []
-    compute = compute_spans(registry)
-    comm = comm_spans(registry)
     hidden = iv.intersect(comm, compute)
     exposed = iv.subtract(comm, compute)
     window_start = compute[0][0] if compute else 0.0
@@ -202,27 +179,14 @@ class PlanStageSpan:
         }
 
 
-def attribute_plan_stages(registry: MetricsRegistry,
-                          stage_order: Optional[List[str]] = None,
-                          ) -> List[PlanStageSpan]:
-    """Per-plan-phase overlap attribution.
-
-    DMA transfers record a ``stage.<name>`` span per command (the plan
-    phase the route belongs to); this collects them machine-wide and
-    splits each phase's activity into hidden (under compute) and exposed
-    time.  ``stage_order`` pins the output order (e.g. the plan's
-    ``stage_names``); otherwise phases appear in first-activity order.
-    """
-    per_stage: Dict[str, List[iv.Interval]] = {}
-    for scope in registry.scopes("dma"):
-        for name in scope.span_names():
-            if not name.startswith("stage."):
-                continue
-            stage = name[len("stage."):]
-            per_stage.setdefault(stage, []).extend(scope.spans(name).spans)
-    if not per_stage:
-        return []
-    compute = compute_spans(registry)
+def plan_phases(per_stage: Dict[str, List[iv.Interval]],
+                compute: List[iv.Interval],
+                stage_order: Optional[List[str]] = None,
+                ) -> List[PlanStageSpan]:
+    """Per-plan-phase overlap attribution: each phase's DMA intervals
+    split into hidden (under ``compute``) and exposed time.
+    ``stage_order`` pins the output order (e.g. the plan's
+    ``stage_names``); otherwise phases appear in first-activity order."""
     names = [s for s in (stage_order or []) if s in per_stage]
     names += sorted((s for s in per_stage if s not in names),
                     key=lambda s: min(start for start, _ in per_stage[s]))
@@ -239,6 +203,77 @@ def attribute_plan_stages(registry: MetricsRegistry,
             end_ns=spans[-1][1],
         ))
     return result
+
+
+# -- registry adapters ------------------------------------------------------
+
+
+def _machine_spans(registry: MetricsRegistry, component: str,
+                   names: Optional[List[str]] = None) -> List[iv.Interval]:
+    """Union of the named span lists across every scope of ``component``."""
+    spans: List[iv.Interval] = []
+    for scope in registry.scopes(component):
+        for name in (names if names is not None else scope.span_names()):
+            span_list = scope.spans(name)
+            spans.extend(span_list.spans)
+    return iv.merge(spans)
+
+
+def compute_spans(registry: MetricsRegistry) -> List[iv.Interval]:
+    """Machine-level kernel-execution intervals."""
+    return _machine_spans(registry, "compute", ["kernel"])
+
+
+def comm_spans(registry: MetricsRegistry) -> List[iv.Interval]:
+    """Machine-level communication intervals: link serialization plus
+    comm-stream DRAM service (the reduce-scatter's NMC updates / remote
+    writes and the collectives' landing writes)."""
+    spans = _machine_spans(registry, "link")
+    spans.extend(_machine_spans(registry, "dram", ["comm_service"]))
+    return iv.merge(spans)
+
+
+def decompose(registry: MetricsRegistry,
+              total_ns: Optional[float] = None) -> OverlapBreakdown:
+    """Machine-level overlap decomposition of one profiled run."""
+    return breakdown(
+        compute_spans(registry), comm_spans(registry),
+        registry.end_time() if total_ns is None else total_ns)
+
+
+def _stage_end_samples(registry: MetricsRegistry):
+    for scope in registry.scopes("gemm"):
+        series = scope.get_series("stage_end")
+        if series is not None:
+            yield from zip(series.times, series.values)
+
+
+def stage_boundaries(registry: MetricsRegistry) -> List[float]:
+    """Per-stage critical-path boundary: the *slowest* GPU's stage end."""
+    return stage_ends(_stage_end_samples(registry))
+
+
+def attribute_stages(registry: MetricsRegistry) -> List[StageAttribution]:
+    """Split each GEMM-stage window into compute / hidden / exposed."""
+    return stage_windows(compute_spans(registry), comm_spans(registry),
+                         _stage_end_samples(registry))
+
+
+def attribute_plan_stages(registry: MetricsRegistry,
+                          stage_order: Optional[List[str]] = None,
+                          ) -> List[PlanStageSpan]:
+    """Per-plan-phase overlap attribution of a live run.
+
+    DMA transfers record a ``stage.<name>`` span per command (the plan
+    phase the route belongs to); this collects them machine-wide.
+    """
+    per_stage: Dict[str, List[iv.Interval]] = {}
+    for scope in registry.scopes("dma"):
+        for name in scope.span_names():
+            if name.startswith("stage."):
+                per_stage.setdefault(name[len("stage."):], []).extend(
+                    scope.spans(name).spans)
+    return plan_phases(per_stage, compute_spans(registry), stage_order)
 
 
 @dataclass

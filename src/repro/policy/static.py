@@ -3,9 +3,10 @@
 Exactly the behavior that used to be hard-coded: the Section 4.5
 intensity -> threshold table at calibration, the
 ``dram_occupancy < threshold`` admission gate per arbitration round,
-eager triggering, and unpaced DMA.  ``make smoke-policy`` holds this
+eager triggering, and unpaced DMA.  ``tests/test_golden.py`` holds this
 implementation to byte-identical results, event counts and telemetry
-snapshots against an inline copy of the pre-refactor arbiter.
+snapshots against an inline copy of the pre-refactor arbiter
+(``tests/test_policy.py::InlineReferenceArbiter``).
 """
 
 from __future__ import annotations

@@ -4,76 +4,42 @@ Simulation time is a ``float`` in *nanoseconds* throughout this repository
 (see :mod:`repro.units`).  Events scheduled at the same timestamp are fired
 in FIFO order of scheduling, which keeps runs deterministic.
 
-Two schedulers implement that contract:
-
-* ``"optimized"`` (the default) — the hot path.  ``run()`` inlines the
-  pop/fire/resume cycle into a single loop with localized references,
-  batches same-timestamp firings without re-entering the dispatcher, and
-  pre-resolves the watchdog checks so an unbounded run pays nothing for
-  limits it did not configure.
-* ``"legacy"`` — the reference implementation: a plain loop over
-  :meth:`Environment.step`, preserved verbatim so the optimized path can
-  be proven *bit-identical* against it (``scripts/smoke_engine.py`` and
-  the hypothesis equivalence suite assert identical events fired, final
-  times, and results on both).
-
-Both schedulers share one event representation and one
-:meth:`Environment.schedule` ordering rule — a heap of ``(time, seq,
-event)`` with a monotonically increasing ``seq`` as the FIFO tie-break,
+The schedule has two lanes: a heap of ``(time, seq, event)`` for future
+events, with a monotonically increasing ``seq`` as the FIFO tie-break,
 fronted by a plain FIFO deque for events landing at the *current*
-timestamp — so their firing order is equal by construction; the gates
-exist to keep it that way mechanically.
+timestamp.  Its contract is the firing order of one single heap keyed
+on ``(time, seq)``.  ``run()`` inlines the pop/fire/resume cycle into
+a single loop with localized references, batches same-timestamp
+firings without re-entering the dispatcher, and pre-resolves the
+watchdog checks so an unbounded run pays nothing for limits it did not
+configure.
 
 The deque fast path is safe because of a structural invariant: any heap
 entry at time ``T`` was pushed *before* the clock reached ``T`` (time
 only moves forward), so it always precedes — in seq order — every
 zero-delay event scheduled once the clock arrived at ``T``.  Draining
 same-time heap entries first, then the deque, reproduces exactly the
-order the single heap produced, while ~70% of all events (zero-delay
+order a single heap would produce, while ~70% of all events (zero-delay
 wakes, completions, boots) skip tuple construction and heap
 percolation entirely.
+
+The single-heap reference loop lives in ``tests/single_heap.py``; the
+hypothesis program test and the golden-digest gate
+(``tests/test_golden.py``) run it against this core and require equal
+event counts, end times and results.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-#: the two event-loop implementations (see module docstring).
-SCHEDULERS = ("optimized", "legacy")
-
-_default_scheduler = os.environ.get("REPRO_T3_SCHEDULER", "optimized")
-if _default_scheduler not in SCHEDULERS:  # pragma: no cover - env guard
-    raise RuntimeError(
-        f"REPRO_T3_SCHEDULER={_default_scheduler!r} is not one of "
-        f"{SCHEDULERS}")
-
 # Resolved lazily to avoid a circular import (primitives imports engine).
 _Timeout = None
 _AllOf = None
 _AnyOf = None
-
-
-def default_scheduler() -> str:
-    """The scheduler new :class:`Environment` instances use."""
-    return _default_scheduler
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one.
-
-    The smoke gate and the equivalence tests flip this around otherwise
-    identical runs to prove the optimized loop transparent.
-    """
-    global _default_scheduler
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}; pick from {SCHEDULERS}")
-    previous = _default_scheduler
-    _default_scheduler = name
-    return previous
 
 
 class SimulationError(RuntimeError):
@@ -296,21 +262,13 @@ class Process(BaseEvent):
 class Environment:
     """The simulation clock plus the pending-event heap."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, BaseEvent]] = []
         #: events scheduled at exactly the current timestamp — the
         #: array-backed fast lane of the schedule (see module docstring).
         self._now_q: deque[BaseEvent] = deque()
         self._seq = 0
-        if scheduler is None:
-            scheduler = _default_scheduler
-        elif scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
-        #: which event loop run() uses; see the module docstring.
-        self.scheduler = scheduler
         self.active_processes = 0
         #: optional repro.analysis.trace.TraceRecorder; components record
         #: execution spans into it when set.
@@ -399,9 +357,6 @@ class Environment:
         else:
             self._seq += 1
             heappush(self._heap, (when, self._seq, event))
-
-    # Backward-compatible private alias (pre-rewrite call sites/tests).
-    _schedule = schedule
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')``."""
@@ -509,8 +464,6 @@ class Environment:
         """
         if until is not None and until < self._now:
             raise SimulationError("run(until=...) target is in the past")
-        if self.scheduler == "legacy":
-            return self._run_legacy(until)
         if until is None and self.max_events is None and self.max_sim_ns is None:
             return self._run_fast()
         return self._run_bounded(until)
@@ -520,10 +473,9 @@ class Environment:
 
         Pop/fire is inlined (no step() or _fire() calls per event) with
         the heap, the now-queue, heappop, and the fired counter
-        localized.  Identical firing order to the legacy loop by
-        construction: both consume the same dual-lane schedule through
-        the same drain rule (same-time heap entries, then the now-queue,
-        then advance the clock).
+        localized.  Drain rule, shared with :meth:`step` and
+        :meth:`_run_bounded`: same-time heap entries, then the
+        now-queue, then advance the clock.
         """
         heap = self._heap
         now_q = self._now_q
@@ -617,19 +569,6 @@ class Environment:
             if callbacks:
                 for fn in callbacks:
                     fn(event)
-        if until is not None:
-            self._now = until
-        return self._now
-
-    def _run_legacy(self, until: Optional[float]) -> float:
-        """The reference loop: one :meth:`step` per event, with no
-        inlining or localization.  Kept for the transparency gates."""
-        while self._heap or self._now_q:
-            when = self.peek()
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            self.step()
         if until is not None:
             self._now = until
         return self._now

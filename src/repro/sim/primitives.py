@@ -64,8 +64,8 @@ class ReusableTimer(BaseEvent):
     can own its timer objects and re-arm them instead of allocating a
     fresh ``Timeout`` (plus callback list) per tick.  ``arm()`` resets
     the event slots and puts the timer back on the schedule; firing
-    happens through the ordinary engine loop, so recycling is invisible
-    to both schedulers.
+    happens through the ordinary engine loop, so recycling changes no
+    firing order.
 
     Arming a timer that is still pending is a bug (the schedule holds a
     reference to it); the guard raises instead of corrupting the run.

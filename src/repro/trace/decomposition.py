@@ -1,20 +1,19 @@
 """Post-hoc overlap decomposition: the live profiler's math on a trace.
 
-:mod:`repro.obs.profiler` decomposes a run into compute / hidden /
-exposed time from a live :class:`~repro.obs.MetricsRegistry`.  This
-module computes the *same quantities from the trace spans alone*, so any
-saved Chrome JSON — including one reloaded months after the run — yields
-the identical numbers.
+:mod:`repro.obs.profiler` owns the compute / hidden / exposed, per-GEMM-
+stage and per-plan-phase algorithms, over plain interval inputs.  This
+module is only the adapter that pulls those inputs out of a
+:class:`~repro.trace.query.TraceQuery`, so any saved Chrome JSON —
+including one reloaded months after the run — yields the live numbers.
 
 The equivalence is exact, not approximate: the simulator records every
 relevant interval into both sinks at the same code site with the same
 floats (kernel spans in ``gpu.py``, link serialization in
-``primitives.py``, comm-stream DRAM service in ``dram.py``), and the
-exporter round-trips exact nanosecond endpoints through ``args``.  The
-``scripts/smoke_trace.py`` gate enforces bit-for-bit equality of
-``compute_ns`` / ``comm_ns`` / ``hidden_ns`` / ``exposed_ns`` between
-:func:`repro.obs.profiler.decompose` on the live registry and
-:func:`decompose_query` on the saved file.
+``primitives.py``, comm-stream DRAM service in ``dram.py``), the
+exporter round-trips exact nanosecond endpoints through ``args``, and
+both sides run the same algorithm.  ``tests/test_trace_query.py``
+checks bit-for-bit equality between :func:`repro.obs.profiler.decompose`
+on the live registry and :func:`decompose_query` on the saved file.
 
 Category mapping (trace span -> profiler scope):
 
@@ -35,11 +34,12 @@ profiler (``has_dram_spans`` lets callers detect this).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import intervals as iv
 from repro.obs.profiler import (OverlapBreakdown, PlanStageSpan,
-                                StageAttribution)
+                                StageAttribution, breakdown, plan_phases,
+                                stage_windows)
 from repro.trace.query import TraceQuery
 
 
@@ -77,54 +77,23 @@ def decompose_query(query: TraceQuery,
     extend past the last span; the four span-derived quantities are
     always identical to the live run's.
     """
-    compute = compute_intervals(query)
-    comm = comm_intervals(query)
-    hidden = iv.intersect(comm, compute)
-    exposed = iv.subtract(comm, compute)
-    return OverlapBreakdown(
-        total_ns=query.horizon_ns if total_ns is None else total_ns,
-        compute_ns=iv.total(compute),
-        comm_ns=iv.total(comm),
-        hidden_ns=iv.total(hidden),
-        exposed_ns=iv.total(exposed),
-    )
+    return breakdown(compute_intervals(query), comm_intervals(query),
+                     query.horizon_ns if total_ns is None else total_ns)
 
 
-def stage_boundaries_query(query: TraceQuery) -> List[float]:
-    """Per-GEMM-stage critical-path boundaries from the ``stage_end``
-    counter tracks (``gpu<N>.gemm.stage_end``): the slowest GPU's end
-    per stage, mirroring ``obs.profiler.stage_boundaries``."""
-    per_stage: Dict[int, float] = {}
+def _stage_end_samples(query: TraceQuery) -> Iterator[Tuple[float, float]]:
+    """``(time, stage)`` samples of every ``gpu<N>.gemm.stage_end``
+    counter track."""
     for track, samples in query.counters.items():
-        if not track.endswith(".gemm.stage_end"):
-            continue
-        for when, stage in samples:
-            index = int(stage)
-            per_stage[index] = max(per_stage.get(index, 0.0), when)
-    return [per_stage[index] for index in sorted(per_stage)]
+        if track.endswith(".gemm.stage_end"):
+            yield from samples
 
 
 def attribute_stages_query(query: TraceQuery) -> List[StageAttribution]:
     """Split each GEMM-stage window into compute / hidden / exposed,
     post-hoc (``obs.profiler.attribute_stages`` on a trace)."""
-    boundaries = stage_boundaries_query(query)
-    if not boundaries:
-        return []
-    compute = compute_intervals(query)
-    comm = comm_intervals(query)
-    hidden = iv.intersect(comm, compute)
-    exposed = iv.subtract(comm, compute)
-    window_start = compute[0][0] if compute else 0.0
-    attributions: List[StageAttribution] = []
-    for stage, end in enumerate(boundaries):
-        attributions.append(StageAttribution(
-            stage=stage, start_ns=window_start, end_ns=end,
-            compute_ns=iv.total(iv.clip(compute, window_start, end)),
-            hidden_ns=iv.total(iv.clip(hidden, window_start, end)),
-            exposed_ns=iv.total(iv.clip(exposed, window_start, end)),
-        ))
-        window_start = end
-    return attributions
+    return stage_windows(compute_intervals(query), comm_intervals(query),
+                         _stage_end_samples(query))
 
 
 def attribute_plan_stages_query(query: TraceQuery,
@@ -134,32 +103,12 @@ def attribute_plan_stages_query(query: TraceQuery,
 
     DMA spans carry the plan phase their route belongs to in
     ``args.stage`` (mirroring the ``stage.<name>`` obs spans the live
-    ``attribute_plan_stages`` reads); this groups the machine-wide DMA
-    activity per phase and splits it into hidden / exposed time.
+    ``attribute_plan_stages`` reads).
     """
     per_stage: Dict[str, List[iv.Interval]] = {}
     for span in query.select(category="dma"):
         stage = (span.args or {}).get("stage")
-        if stage is None:
-            continue
-        per_stage.setdefault(str(stage), []).append(
-            (span.start_ns, span.end_ns))
-    if not per_stage:
-        return []
-    compute = compute_intervals(query)
-    names = [s for s in (stage_order or []) if s in per_stage]
-    names += sorted((s for s in per_stage if s not in names),
-                    key=lambda s: min(start for start, _ in per_stage[s]))
-    result: List[PlanStageSpan] = []
-    for stage in names:
-        spans = iv.merge(per_stage[stage])
-        hidden = iv.intersect(spans, compute)
-        result.append(PlanStageSpan(
-            stage=stage,
-            comm_ns=iv.total(spans),
-            hidden_ns=iv.total(hidden),
-            exposed_ns=iv.total(spans) - iv.total(hidden),
-            start_ns=spans[0][0],
-            end_ns=spans[-1][1],
-        ))
-    return result
+        if stage is not None:
+            per_stage.setdefault(str(stage), []).append(
+                (span.start_ns, span.end_ns))
+    return plan_phases(per_stage, compute_intervals(query), stage_order)

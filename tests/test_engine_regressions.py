@@ -1,5 +1,6 @@
 """Regression tests for the event-loop bugs fixed in the hot-path
-overhaul, plus property-based equivalence of the two schedulers.
+overhaul, plus property-based equivalence of the dual-lane event core
+and the single-heap reference loop (``tests/single_heap.py``).
 
 Each regression test failed against the pre-overhaul engine:
 
@@ -13,6 +14,7 @@ Each regression test failed against the pre-overhaul engine:
   dead callbacks subscribed after the composite triggered.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
@@ -22,6 +24,7 @@ from repro.sim import (
     Resource,
     Store,
 )
+from tests.single_heap import SingleHeapEnvironment
 
 
 # ------------------------------------------------------- Process.interrupt
@@ -222,7 +225,7 @@ def test_all_of_failure_detaches_pending_children():
     assert pending._callbacks == []
 
 
-# --------------------------------------------- scheduler equivalence (PBT)
+# ------------------------------------ dual-lane core vs single heap (PBT)
 
 _STEP = st.one_of(
     st.tuples(st.just("timeout"), st.integers(0, 7)),
@@ -234,8 +237,8 @@ _STEP = st.one_of(
 _PROGRAM = st.lists(st.lists(_STEP, max_size=5), min_size=1, max_size=4)
 
 
-def _execute(scheduler, program):
-    env = Environment(scheduler=scheduler)
+def _execute(env_cls, program):
+    env = env_cls()
     resource = Resource(env, capacity=2)
     store = Store(env)
     log = []
@@ -262,11 +265,12 @@ def _execute(scheduler, program):
 
 @settings(deadline=None, max_examples=40)
 @given(program=_PROGRAM)
-def test_optimized_scheduler_matches_legacy(program):
-    """Both schedulers run any program to the same end time, event
-    count, and execution trace — the bit-identity contract at the
-    engine level."""
-    assert _execute("optimized", program) == _execute("legacy", program)
+def test_dual_lane_core_matches_single_heap_oracle(program):
+    """The dual-lane core runs any program to the same end time, event
+    count and execution trace as one ``(time, seq)`` heap — the
+    ordering contract of the engine's module docstring."""
+    assert _execute(Environment, program) == \
+        _execute(SingleHeapEnvironment, program)
 
 
 # --------------------------------- schedule() ordering edge cases
@@ -278,8 +282,8 @@ def test_schedule_same_time_events_fire_fifo():
     scheduling order.  This is the tuple-ordering edge case the old
     duplicated ``heappush`` sites each handled with their own seq
     counter; ``Environment.schedule`` is now the single seam."""
-    for scheduler in ("optimized", "legacy"):
-        env = Environment(scheduler=scheduler)
+    for env_cls in (Environment, SingleHeapEnvironment):
+        env = env_cls()
         log = []
         events = [Event(env) for _ in range(8)]
         for index, event in enumerate(events):
@@ -295,7 +299,7 @@ def test_schedule_same_time_events_fire_fifo():
 
         env.process(proc())
         env.run()
-        assert log == [(i, 5) for i in range(8)], scheduler
+        assert log == [(i, 5) for i in range(8)], env_cls.__name__
 
 
 def test_schedule_rejects_negative_delay():
@@ -343,35 +347,33 @@ _TINY_SUBLAYER = st.sampled_from(["OP", "FC-2", "IP"])
 @settings(deadline=None, max_examples=6)
 @given(hidden=_TINY_HIDDEN, seq_len=_TINY_SEQ, tp=_TINY_TP,
        sublayer=_TINY_SUBLAYER)
-def test_converted_machines_match_legacy_on_sublayer_cases(
+def test_converted_machines_match_single_heap_oracle_on_sublayer_cases(
         hidden, seq_len, tp, sublayer):
-    """End-to-end equivalence over the converted GEMM/DMA/link state
-    machines: a random sub-layer case simulated under both schedulers
-    must produce an identical suite payload (all config times, traffic)
-    and identical telemetry snapshots (which embed event ordering via
-    time-stamped series and end_time)."""
+    """End-to-end ordering over the converted GEMM/DMA/link state
+    machines: a random sub-layer case simulated on the dual-lane core
+    and on the single-heap oracle must produce an identical suite
+    payload (all config times, traffic) and identical telemetry
+    snapshots (which embed event ordering via time-stamped series and
+    end_time)."""
     from repro.config import table1_system
-    from repro.experiments.common import run_sublayer_suite
+    from repro.experiments import common
     from repro.models.transformer import TransformerConfig
-    from repro.sim.engine import set_default_scheduler
 
     model = TransformerConfig(name="pbt", hidden=hidden, n_layers=1,
                               seq_len=seq_len, batch=1)
     sub = model.sublayer(sublayer, tp)
     system = table1_system(n_gpus=tp)
 
-    def run_once(scheduler):
-        previous = set_default_scheduler(scheduler)
-        try:
+    def run_once(env_cls):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(common, "Environment", env_cls)
             registries = {}
-            suite = run_sublayer_suite(
+            suite = common.run_sublayer_suite(
                 system, sub.gemm, label=sub.label,
                 configs=["Sequential", "T3", "T3-MCA"],
                 obs_sink=registries)
             snapshots = {name: registry.snapshot()
                          for name, registry in registries.items()}
             return suite.to_dict(), snapshots
-        finally:
-            set_default_scheduler(previous)
 
-    assert run_once("optimized") == run_once("legacy")
+    assert run_once(Environment) == run_once(SingleHeapEnvironment)

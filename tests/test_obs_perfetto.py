@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.trace import TraceRecorder
 from repro.config import table1_system
-from repro.experiments.common import _fresh_topology, scaled_shape
+from repro.experiments.common import _fresh_topology
 from repro.models import zoo
 from repro.obs import MetricsRegistry
 from repro.obs.perfetto import (
@@ -90,14 +90,11 @@ def test_save_merged_and_load_counter_tracks(tmp_path):
 @pytest.fixture(scope="module")
 def merged_trace_path(tmp_path_factory):
     """Run a small fused GEMM-RS with trace + registry and save merged."""
-    from repro.experiments.sublayer_sweep import FAST_SCALE
+    from repro.experiments.sublayer_sweep import FAST_SCALE, case_shape
 
     sub = zoo.t_nlg().sublayer("OP", 4)
     system = table1_system(n_gpus=sub.tp)
-    tiles_n = max(1, sub.gemm.n // system.gemm.macro_tile_n)
-    rows_needed = -(-sub.tp // tiles_n)
-    shape = scaled_shape(sub.gemm, FAST_SCALE,
-                         min_m=rows_needed * system.gemm.macro_tile_m)
+    shape = case_shape(sub, FAST_SCALE, system)
     registry = MetricsRegistry()
     env, topo = _fresh_topology(system, "mca", obs=registry)
     trace = TraceRecorder()

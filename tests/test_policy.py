@@ -3,16 +3,21 @@
 The static half of the contract — :class:`StaticPaperPolicy` reproduces
 the pre-refactor inline arbiter decision-for-decision — is checked here
 property-based (hypothesis drives random calibration/arbitration
-histories against an inline reference implementation); the byte-level
-whole-simulation half lives in ``scripts/smoke_policy.py``.  The rest
-covers the adaptive controller's mechanics, decision-log record/replay,
-config validation, policy resolution, and the ``policy-decisions``
-trace-analysis pass.
+histories against :class:`InlineReferenceArbiter`); the byte-level
+whole-simulation half is the ``reference-arbiter`` variant of
+``tests/test_golden.py``, which installs the same reference class in
+the memory controller.  A structural test keeps the tunable decision
+logic out of ``memory/arbiter.py``.  The rest covers the adaptive
+controller's mechanics, decision-log record/replay, config validation,
+policy resolution, and the ``policy-decisions`` trace-analysis pass.
 """
+
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.analysis.trace import TraceSpan
 from repro.config import (
     MCAConfig,
@@ -63,9 +68,14 @@ def adaptive(**overrides):
 class InlineReferenceArbiter:
     """The pre-refactor MCA decision logic, inlined verbatim: the
     Section 4.5 intensity->threshold table, the occupancy gate, and the
-    starvation guard, with no policy layer in sight."""
+    starvation guard, with no policy layer in sight.
 
-    def __init__(self, config: MCAConfig):
+    The constructor takes (and ignores) the policy-layer wiring
+    arguments so ``arbiter.make_policy`` can build it in place of
+    :class:`MCAPolicy`."""
+
+    def __init__(self, config: MCAConfig, overlap=None, gpu_id=0,
+                 channel_id=0):
         self.config = config
         self.threshold = config.occupancy_thresholds[0]
         self._last_comm_issue = 0.0
@@ -139,6 +149,21 @@ def test_static_policy_matches_inline_reference(events):
         assert choices[0] is choices[1], (
             f"diverged at t={now}: compute={compute} comm={comm} "
             f"occupancy={occupancy} threshold={reference.threshold}")
+
+
+def test_decision_logic_lives_in_the_policy_layer():
+    """``memory/arbiter.py`` holds the seams, not the policy math, and
+    the trigger/DMA/tracker seams consult the overlap policy."""
+    src = pathlib.Path(repro.__file__).parent
+    arbiter_text = (src / "memory" / "arbiter.py").read_text()
+    for marker in ("dram_occupancy <", "intensity_breakpoints"):
+        assert marker not in arbiter_text, (
+            f"memory/arbiter.py holds inline decision logic: {marker!r}")
+    for path, seam in (("t3/trigger.py", "trigger_fire_delay"),
+                       ("gpu/dma.py", "dma_pacing_gap"),
+                       ("t3/tracker.py", "observe_tracker_pressure")):
+        assert seam in (src / path).read_text(), (
+            f"{path} no longer consults the policy seam {seam!r}")
 
 
 @given(intensity=st.floats(min_value=0.0, max_value=2.0, allow_nan=False))

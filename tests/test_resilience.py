@@ -9,7 +9,7 @@ from repro.collectives.plan import (
     hierarchical_rs_plan,
     ring_reduce_scatter_plan,
 )
-from repro.config import table1_system
+from repro.config import set_default_overlap_policy, table1_system
 from repro.experiments import chaos
 from repro.faults import FaultPlan
 from repro.resilience import (
@@ -310,7 +310,7 @@ def test_chaos_campaign_grid_is_deterministic():
     first = chaos.campaign_scenarios(seeds=1)
     second = chaos.campaign_scenarios(seeds=1)
     assert len(first) == (len(chaos.FAULT_KINDS) * len(chaos.SEVERITIES)
-                          * len(chaos.TOPOLOGIES) * len(chaos.SCHEDULERS))
+                          * len(chaos.TOPOLOGIES) * len(chaos.FUSED_CONFIGS))
     assert [s.index for s in first] == list(range(len(first)))
     assert [(s.kind, s.severity, s.detail) for s in first] == \
         [(s.kind, s.severity, s.detail) for s in second]
@@ -324,3 +324,54 @@ def test_chaos_link_faults_target_used_edges():
                                             spec, seed)
             entry = plan.links[0]
             assert (entry.src, entry.dst) in edges, detail
+
+
+def test_ladder_falls_back_when_in_run_recovery_is_crippled(monkeypatch):
+    """Zeroed in-run recovery budgets push a dropped-completion scenario
+    down the ladder RUN -> RETRY -> FALLBACK, and the plan-driven
+    Sequential rung still survives."""
+    crippled = ResiliencePolicy(max_reissues_per_command=0,
+                                max_restores_per_region=0,
+                                max_deadline_extensions=0)
+    ladders = []
+
+    class RecordingLadder(ScenarioLadder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ladders.append(self)
+
+    monkeypatch.setattr(chaos, "ResiliencePolicy", lambda: crippled)
+    monkeypatch.setattr(chaos, "ScenarioLadder", RecordingLadder)
+    scenario = chaos.ChaosScenario(
+        index=0, kind="dropped-dma", severity="severe",
+        topology=chaos.TOPOLOGIES[0], scheduler="T3-MCA", seed=0,
+        plan=FaultPlan.dropped_dma(gpu_id=1, max_events=2, seed=11),
+        detail="crippled ladder walk")
+    outcome = chaos.run_scenario(
+        scenario, table1_system(n_gpus=scenario.topology.n_gpus))
+    assert outcome.resilient_survived
+    assert outcome.rung is LadderRung.FALLBACK
+    assert [rung for rung, _ in ladders[0].history] == [
+        LadderRung.RUN, LadderRung.RETRY, LadderRung.FALLBACK]
+
+
+def _assert_campaign_survives(result):
+    assert result.survival_rate == 1.0
+    assert result.baseline_survival_rate < 1.0, (
+        "no fault killed the no-response baseline; the campaign is not "
+        "stressing anything")
+    assert result.invariant_violations == 0
+    assert result.watchdog_hangs == 0
+
+
+def test_chaos_mini_campaign_survives_fully():
+    _assert_campaign_survives(chaos.run(seeds=1))
+
+
+def test_chaos_mini_campaign_survives_under_adaptive_policy():
+    previous = set_default_overlap_policy("adaptive")
+    try:
+        result = chaos.run(seeds=1)
+    finally:
+        set_default_overlap_policy(previous)
+    _assert_campaign_survives(result)

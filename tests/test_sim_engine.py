@@ -294,4 +294,4 @@ def test_schedule_in_past_rejected():
     env = Environment()
     ev = BaseEvent(env)
     with pytest.raises(SimulationError):
-        env._schedule(ev, delay=-1)
+        env.schedule(ev, delay=-1)
