@@ -23,7 +23,7 @@ import dataclasses
 import pathlib
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import SystemConfig, table1_system
+from repro.config import GEMMKernelConfig, SystemConfig, table1_system
 from repro.experiments.common import (
     SublayerSuite,
     run_sublayer_suite,
@@ -140,11 +140,19 @@ def case_shape(sub: SubLayer, scale: int, system: SystemConfig):
     Shared with :mod:`repro.surrogate` so analytic scoring and the event
     simulation can never disagree about the simulated geometry.
     """
-    # Keep the scaled output chunkable: need >= tp workgroup tiles.
-    tiles_n = max(1, sub.gemm.n // system.gemm.macro_tile_n)
+    return scaled_shape(sub.gemm, scale,
+                        min_m=chunkable_min_m(sub, system.gemm))
+
+
+def chunkable_min_m(sub: SubLayer, kernel: GEMMKernelConfig) -> int:
+    """Smallest M that keeps ``sub``'s output chunkable ``sub.tp`` ways.
+
+    The ring needs at least ``tp`` workgroup tiles, so M must span
+    enough tile rows.
+    """
+    tiles_n = max(1, sub.gemm.n // kernel.macro_tile_n)
     rows_needed = -(-sub.tp // tiles_n)  # ceil
-    min_m = rows_needed * system.gemm.macro_tile_m
-    return scaled_shape(sub.gemm, scale, min_m=min_m)
+    return rows_needed * kernel.macro_tile_m
 
 
 def simulate_case(sub: SubLayer, scale: int, system: SystemConfig,

@@ -17,6 +17,7 @@ execution abstraction:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -119,6 +120,28 @@ class StageInfo:
         return sum(self.chunk_bytes.values())
 
 
+def _residue_spans(start: int, end: int,
+                   modulus: int) -> List[Tuple[int, int]]:
+    """Half-open spans of ``{i % modulus for i in range(start, end)}``."""
+    if end - start >= modulus:
+        return [(0, modulus)]
+    lo, hi = start % modulus, (end - 1) % modulus + 1
+    if lo < hi:
+        return [(lo, hi)]
+    return [(lo, modulus), (0, hi)]
+
+
+def _union_length(spans: List[Tuple[int, int]]) -> int:
+    """Total length covered by half-open ``spans``."""
+    covered = 0
+    reach = 0
+    for lo, hi in sorted(spans):
+        if hi > reach:
+            covered += hi - max(lo, reach)
+            reach = hi
+    return covered
+
+
 def split_evenly(total: int, parts: int) -> List[int]:
     """Split ``total`` into ``parts`` contiguous near-equal counts."""
     if parts < 1:
@@ -204,16 +227,16 @@ class TileGrid:
         for count in counts:
             self.chunk_ranges.append((start, count))
             start += count
+        self._chunk_starts = [start for start, _count in self.chunk_ranges]
 
         self._stages: List[StageInfo] = self._build_stages()
 
     # -- chunk helpers ---------------------------------------------------
 
     def chunk_of_wg(self, wg_id: int) -> int:
-        for chunk_id, (start, count) in enumerate(self.chunk_ranges):
-            if start <= wg_id < start + count:
-                return chunk_id
-        raise ValueError(f"wg id {wg_id} out of range")
+        if not 0 <= wg_id < self.n_wgs:
+            raise ValueError(f"wg id {wg_id} out of range")
+        return bisect_right(self._chunk_starts, wg_id) - 1
 
     def chunk_wgs(self, chunk_id: int) -> List[int]:
         start, count = self.chunk_ranges[chunk_id]
@@ -257,41 +280,49 @@ class TileGrid:
     # -- stages ------------------------------------------------------------
 
     def _build_stages(self) -> List[StageInfo]:
+        """Cut the production-ordered WG sequence into stages.
+
+        Each chunk is a contiguous id range, so a stage is a handful of
+        contiguous *pieces* (a stage boundary or a chunk change ends a
+        piece) and every field is computed per piece: ids, bytes, the
+        piece's column residues and its row span.
+        """
+        tiles_n = self.tiles_n
+        per_stage = self.wgs_per_stage
         stages: List[StageInfo] = []
         seen_rows: set[int] = set()
-        batch: List[Tuple[int, int, int, int]] = []
+        wg_ids: List[int] = []
+        chunk_bytes: Dict[int, int] = {}
+        col_spans: List[Tuple[int, int]] = []
+        new_rows = 0
 
-        def flush(index: int) -> None:
-            chunk_bytes: Dict[int, int] = {}
-            new_rows = 0
-            cols = set()
-            wg_ids = []
-            for wg_id, tile_row, tile_col, chunk_id in batch:
-                wg_ids.append(wg_id)
+        for chunk_id in self.chunk_order():
+            start, count = self.chunk_ranges[chunk_id]
+            stop = start + count
+            while start < stop:
+                take = min(stop - start, per_stage - len(wg_ids))
+                end = start + take
+                wg_ids.extend(range(start, end))
                 chunk_bytes[chunk_id] = (
-                    chunk_bytes.get(chunk_id, 0) + self.wg_tile_bytes
+                    chunk_bytes.get(chunk_id, 0) + take * self.wg_tile_bytes
                 )
-                cols.add(tile_col)
-                if tile_row not in seen_rows:
-                    seen_rows.add(tile_row)
-                    new_rows += 1
+                col_spans.extend(_residue_spans(start, end, tiles_n))
+                known = len(seen_rows)
+                seen_rows.update(range(start // tiles_n,
+                                       (end - 1) // tiles_n + 1))
+                new_rows += len(seen_rows) - known
+                start = end
+                if len(wg_ids) == per_stage:
+                    stages.append(StageInfo(
+                        index=len(stages), wg_ids=tuple(wg_ids),
+                        chunk_bytes=chunk_bytes, new_tile_rows=new_rows,
+                        touched_cols=_union_length(col_spans)))
+                    wg_ids, chunk_bytes, col_spans, new_rows = [], {}, [], 0
+        if wg_ids:
             stages.append(StageInfo(
-                index=index,
-                wg_ids=tuple(wg_ids),
-                chunk_bytes=chunk_bytes,
-                new_tile_rows=new_rows,
-                touched_cols=len(cols),
-            ))
-
-        index = 0
-        for item in self.wg_sequence():
-            batch.append(item)
-            if len(batch) == self.wgs_per_stage:
-                flush(index)
-                batch = []
-                index += 1
-        if batch:
-            flush(index)
+                index=len(stages), wg_ids=tuple(wg_ids),
+                chunk_bytes=chunk_bytes, new_tile_rows=new_rows,
+                touched_cols=_union_length(col_spans)))
         return stages
 
     @property

@@ -25,7 +25,7 @@ without running the event simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from repro.config import MemoryConfig
 
@@ -88,7 +88,9 @@ def estimate_gemm_traffic(grid: "TileGrid", memory: MemoryConfig,
     miss = 1.0 - hit
     window = memory.llc_reuse_window_stages
 
-    col_visits: Dict[int, int] = {}
+    tiles_n = grid.tiles_n
+    col_visits = [0] * tiles_n
+    reread = b_col_bytes * miss
     a_bytes_emitted = 0.0
     b_first_emitted = 0.0
     reads: List[float] = []
@@ -101,23 +103,26 @@ def estimate_gemm_traffic(grid: "TileGrid", memory: MemoryConfig,
         a_bytes_emitted += a_read
 
         # --- B: compulsory on first touch, probabilistic re-read after.
+        # Stage coverage is contiguous in columns for row-major order; we
+        # only need visit counts, not identities, when every stage covers
+        # all columns.  When coverage is partial we treat the touched
+        # columns as rotating, which is what row-major enumeration
+        # produces.  Bytes are summed column by column, in column order.
+        touched = stage.touched_cols
+        if touched == tiles_n:
+            cols = range(tiles_n)
+        else:
+            first = stage.index * touched
+            cols = [(first + offset) % tiles_n for offset in range(touched)]
         b_read = 0.0
-        for col_index in range(stage.touched_cols):
-            # Stage coverage is contiguous in columns for row-major order;
-            # we only need visit counts, not identities, when every stage
-            # covers all columns.  When coverage is partial we treat the
-            # touched columns as rotating, which is what row-major
-            # enumeration produces.
-            col = col_index if stage.touched_cols == grid.tiles_n else (
-                (stage.index * stage.touched_cols + col_index) % grid.tiles_n
-            )
-            visits = col_visits.get(col, 0)
+        for col in cols:
+            visits = col_visits[col]
             if visits == 0:
                 chunk = min(b_col_bytes, max(0.0, b_total - b_first_emitted))
                 b_read += chunk
                 b_first_emitted += chunk
             elif visits <= window:
-                b_read += b_col_bytes * miss
+                b_read += reread
             col_visits[col] = visits + 1
 
         reads.append(a_read + b_read)

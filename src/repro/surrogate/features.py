@@ -34,15 +34,18 @@ _BYPASS_WRITE_CONFIGS = frozenset({"T3", "T3-MCA"})
 def gemm_analytic_time(shape: GEMMShape, system: SystemConfig,
                        bypass_writes: bool = False,
                        launch_overhead_ns: float = DEFAULT_LAUNCH_OVERHEAD_NS,
+                       grid: Optional[TileGrid] = None,
                        ) -> float:
     """Roofline GEMM estimate: launch + max(compute, DRAM traffic).
 
     Compute time uses the tile-rounded FLOP count (edge tiles compute
     full macro-tiles, exactly as :class:`~repro.gpu.gemm.GEMMKernel`
     charges them); traffic uses the same LLC reuse model the simulator's
-    request generator consumes.
+    request generator consumes.  ``grid`` is the unfused tiling of
+    ``shape`` on ``system`` when the caller has already built it.
     """
-    grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
+    if grid is None:
+        grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
     traffic = estimate_gemm_traffic(grid, system.memory, bypass_writes)
     kernel = system.gemm
     flops = 2.0 * shape.k * kernel.macro_tile_m * kernel.macro_tile_n \
@@ -69,7 +72,9 @@ def analytic_times(shape: GEMMShape, system: SystemConfig,
     payload = shape.output_bytes
     rs_a = ring_rs_time(payload, system)
     ag_a = ring_ag_time(payload, system)
-    gemm_cached = gemm_analytic_time(shape, system, bypass_writes=False)
+    grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
+    gemm_cached = gemm_analytic_time(shape, system, bypass_writes=False,
+                                     grid=grid)
     gemm_bypass: Optional[float] = None
 
     times: Dict[str, float] = {}
@@ -80,7 +85,7 @@ def analytic_times(shape: GEMMShape, system: SystemConfig,
         if name in _BYPASS_WRITE_CONFIGS:
             if gemm_bypass is None:
                 gemm_bypass = gemm_analytic_time(
-                    shape, system, bypass_writes=True)
+                    shape, system, bypass_writes=True, grid=grid)
             gemm_a = gemm_bypass
         else:
             gemm_a = gemm_cached

@@ -14,6 +14,7 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.config import table1_system
+from repro.experiments.sublayer_sweep import chunkable_min_m
 from repro.models.transformer import AR_SUBLAYERS, SubLayer, TransformerConfig
 
 #: hyperparameter axes of the default grid (16 x 4 x 10 x 5 x 4 = 12800
@@ -24,13 +25,6 @@ DEFAULT_HIDDEN = (1024, 1280, 1536, 1792, 2048, 2304, 2560, 3072, 3584,
 DEFAULT_SEQ_LEN = (256, 512, 1024, 2048)
 DEFAULT_BATCH = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 DEFAULT_TP = (2, 4, 8, 16, 32)
-
-
-def _case_valid(sub: SubLayer, min_m_tile: int, tiles_unit: int) -> bool:
-    """Mirror of ``case_shape``'s chunkability floor (no exceptions)."""
-    tiles_n = max(1, sub.gemm.n // tiles_unit)
-    rows_needed = -(-sub.tp // tiles_n)
-    return sub.gemm.m >= rows_needed * min_m_tile
 
 
 def synthetic_cases(n: Optional[int] = 10_000, seed: int = 0,
@@ -62,8 +56,7 @@ def synthetic_cases(n: Optional[int] = 10_000, seed: int = 0,
                         if k_full % degree:
                             continue
                         sub = model.sublayer(name, degree)
-                        if _case_valid(sub, kernel.macro_tile_m,
-                                       kernel.macro_tile_n):
+                        if sub.gemm.m >= chunkable_min_m(sub, kernel):
                             cases.append(sub)
     random.Random(seed).shuffle(cases)
     if n is not None:

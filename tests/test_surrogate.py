@@ -242,3 +242,47 @@ def test_run_sweep_triage_rejects_faults():
         sublayer_sweep.run_sweep(
             cases=_tiny_cases(1), triage="surrogate",
             faults=FaultPlan.straggler(gpu_id=0, factor=2.0, seed=1))
+
+
+def test_triage_scores_each_distinct_geometry_once(isolated_cache,
+                                                   monkeypatch):
+    """One ``analytic_times`` per distinct (shape, system) and one
+    ``TileGrid`` per ``analytic_times``, afresh on every call."""
+    from repro.surrogate import features, triage
+
+    cases = synthetic_cases(n=60, seed=1)
+    cases = cases + cases[:25]
+    distinct = set()
+    for sub in cases:
+        shape = case_shape(sub, sublayer_sweep.FAST_SCALE,
+                           table1_system(n_gpus=sub.tp))
+        distinct.add((sub.tp, shape.m, shape.n, shape.k))
+    assert len(distinct) < len(cases)
+
+    counts = {"analytic": 0, "grids": 0}
+
+    def counted_analytic_times(*args, **kwargs):
+        counts["analytic"] += 1
+        return analytic_times(*args, **kwargs)
+
+    class CountedTileGrid(features.TileGrid):
+        def __init__(self, *args, **kwargs):
+            counts["grids"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(triage, "analytic_times", counted_analytic_times)
+    monkeypatch.setattr(features, "TileGrid", CountedTileGrid)
+    options = dict(surrogate=CalibratedSurrogate({}, {}, {}), frontier=0,
+                   min_audit=0, audit_fraction=0.0)
+    for _call in range(2):
+        counts.update(analytic=0, grids=0)
+        result = triaged_sweep(cases, **options)
+        assert counts == {"analytic": len(distinct),
+                          "grids": len(distinct)}
+        assert result.n_simulated == 0
+    # Shared geometry, yet every case owns its estimate dict.
+    assert len({id(case.analytic) for case in result.scored}) == len(cases)
+    for sub, case in zip(cases, result.scored):
+        system = table1_system(n_gpus=sub.tp)
+        shape = case_shape(sub, sublayer_sweep.FAST_SCALE, system)
+        assert case.analytic == analytic_times(shape, system)
