@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint check smoke-cache smoke-surrogate bench profile results \
+.PHONY: test lint check smoke-cache smoke-surrogate profile results \
 	clean-cache
 
 test:
@@ -28,15 +28,9 @@ smoke-cache:
 # Surrogate smoke test: triage simulates only a bounded subset, the
 # predicted frontier contains a near-best design (full grid simulated as
 # ground truth) with every pick above the grid median, and the audit
-# slice's relative error stays under the bench-gated bound.
+# slice's relative error stays under its 5% geomean bound.
 smoke-surrogate:
 	$(PYTHON) scripts/smoke_surrogate.py
-
-# Capture a bench trajectory point (results/BENCH_0003.json) and
-# validate it against the schema.
-bench:
-	$(PYTHON) scripts/bench.py
-	$(PYTHON) scripts/bench.py --check results/BENCH_0003.json
 
 # Overlap profile of the sweep cases (CASE filters by label substring,
 # e.g. `make profile CASE=fc2`); writes profile-report.json.

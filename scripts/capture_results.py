@@ -44,12 +44,12 @@ def main() -> None:
     outdir.mkdir(exist_ok=True)
     combined = []
     for name in ORDER:
-        started = time.time()
+        started = time.perf_counter()
         before = sublayer_sweep.cache_stats().snapshot()
         result = EXPERIMENTS[name](fast=fast)
         sweep = sublayer_sweep.cache_stats().delta(before)
         text = result.render()
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         stamped = f"{text}\n[{name}: {elapsed:.1f}s, fast={fast}]\n"
         (outdir / f"{name}.txt").write_text(stamped)
         combined.append(stamped)

@@ -32,11 +32,11 @@ def run_once(cache_dir: str) -> tuple[float, str, str]:
     env["REPRO_T3_CACHE_DIR"] = cache_dir
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    started = time.time()
+    started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "repro.experiments.runner", "figure16"],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     if proc.returncode != 0:
         print(proc.stdout)
         print(proc.stderr, file=sys.stderr)

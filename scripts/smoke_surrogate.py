@@ -14,8 +14,8 @@ directory so the run is hermetic:
    is the point of a triage) and every frontier pick must beat the
    grid's median simulated speedup.
 3. **Audit accuracy** — the audit slice's relative error stays under
-   the threshold the bench schema gates on (geomean <= 5%, and no
-   single audit case worse than 75%).
+   the accuracy thresholds (geomean <= 5%, and no single audit case
+   worse than 75%).
 
 Exit status 0 on success, 1 with a diagnostic on any violation.
 """
@@ -33,7 +33,7 @@ from repro.experiments import sublayer_sweep                 # noqa: E402
 from repro.surrogate.grid import synthetic_cases             # noqa: E402
 
 CONFIGS = ["Sequential", "T3", "T3-MCA"]
-#: the bench-gated accuracy thresholds.
+#: the audit accuracy thresholds.
 AUDIT_GEOMEAN_MAX = 0.05
 AUDIT_WORST_MAX = 0.75
 
@@ -44,7 +44,7 @@ def fail(message: str) -> int:
 
 
 def main() -> int:
-    started = time.time()
+    started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="smoke-surrogate-") as tmp:
         sublayer_sweep.configure(cache_dir=tmp, disk_cache=True)
         cases = synthetic_cases(n=120, seed=0,
@@ -110,7 +110,7 @@ def main() -> int:
           f"{frontier_best:.3f}x vs true best {best:.3f}x (floor "
           f"{frontier_floor:.3f}x > median {median_speedup:.3f}x), "
           f"audit geomean {geomean:.2%} "
-          f"({time.time() - started:.1f}s)")
+          f"({time.perf_counter() - started:.1f}s)")
     return 0
 
 

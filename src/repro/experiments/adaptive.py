@@ -68,8 +68,8 @@ LINK_FACTOR = 0.5
 #: straggler severity (GPU 0 compute-slowdown factor).
 STRAGGLER_FACTOR = 1.5
 
-#: the suites whose exposed-communication reduction feeds the bench
-#: payload's geomean (the faulty suites the acceptance bar is set on).
+#: the suites whose exposed-communication reduction feeds the geomean
+#: (the faulty suites the acceptance bar is set on).
 FAULT_SUITES: Tuple[str, ...] = ("degraded-link", "straggler")
 
 
@@ -81,10 +81,6 @@ class PolicyMeasure:
     exposed_ns: float
     hidden_ns: float
     retunes: int = 0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"total_ns": self.total_ns, "exposed_ns": self.exposed_ns,
-                "hidden_ns": self.hidden_ns, "retunes": self.retunes}
 
 
 @dataclass
@@ -154,22 +150,6 @@ class AdaptiveResult:
         if not logs:
             return 0.0
         return 1.0 - 1.0 / math.exp(sum(logs) / len(logs))
-
-    def to_dict(self) -> Dict[str, object]:
-        """The bench payload's ``policy`` block (schema v4)."""
-        return {
-            "suites": {
-                name: {
-                    "static_exposed_ns": self.suite_exposed(name)[0],
-                    "adaptive_exposed_ns": self.suite_exposed(name)[1],
-                    "adaptive_wins": self.adaptive_wins(name),
-                }
-                for name in self.suite_names()
-            },
-            "adaptive_wins": all(self.adaptive_wins(name)
-                                 for name in FAULT_SUITES),
-            "geomean_exposed_reduction": self.geomean_exposed_reduction(),
-        }
 
     def render(self) -> str:
         lines = [
@@ -303,8 +283,9 @@ def _save_trace(fast: bool, trace_out: str) -> None:
 
 
 def quick_policy_point(fast: bool = True) -> AdaptiveResult:
-    """The cheap bench probe: just the two faulty suites on the first
-    fault case (enough to compute the schema-v4 ``policy`` block)."""
+    """The cheap probe: just the two faulty suites on the first fault
+    case (enough for :meth:`AdaptiveResult.adaptive_wins` and
+    :meth:`AdaptiveResult.geomean_exposed_reduction`)."""
     result = AdaptiveResult(fast=fast)
     scale = FAST_SCALE if fast else 1
     cases = fault_cases()[:1]

@@ -306,12 +306,12 @@ def run_cases(specs: Sequence[CaseSpec],
 
     def run_serial(cases: Sequence[Tuple[int, CaseSpec, str]]) -> None:
         for index, spec, key in cases:
-            started = time.time()
+            started = time.perf_counter()
             suite = SublayerSuite.from_dict(
                 _simulate_payload(spec.to_payload()))
-            finish(index, spec, key, suite, time.time() - started)
+            finish(index, spec, key, suite, time.perf_counter() - started)
 
-    simulate_started = time.time()
+    simulate_started = time.perf_counter()
     if len(pending) <= 1 or jobs <= 1:
         run_serial(pending)
     else:
@@ -332,7 +332,7 @@ def run_cases(specs: Sequence[CaseSpec],
                           backoff_s=retry_backoff_s, sleep=_sleep,
                           progress=progress)
     if progress and pending:
-        elapsed = time.time() - simulate_started
+        elapsed = time.perf_counter() - simulate_started
         if elapsed > 0:
             progress(f"sweep throughput: {len(pending) / elapsed:.3f} "
                      f"cases/s ({len(pending)} simulated in {elapsed:.1f}s)")
@@ -407,7 +407,7 @@ def _run_parallel(pending: Sequence[Tuple[int, CaseSpec, str]],
     pool = ProcessPoolExecutor(max_workers=workers)
     healthy = True
     try:
-        started = time.time()
+        started = time.perf_counter()
         deadline = None if timeout_s is None \
             else time.monotonic() + timeout_s
         futures = [(index, spec, key,
@@ -427,7 +427,7 @@ def _run_parallel(pending: Sequence[Tuple[int, CaseSpec, str]],
                 failed.append((index, spec, key))
                 first_error = first_error or exc
             else:
-                finish(index, spec, key, suite, time.time() - started)
+                finish(index, spec, key, suite, time.perf_counter() - started)
     finally:
         # After a timeout a worker may be wedged mid-simulation; waiting
         # on it would hang the parent, so orphan it instead.

@@ -111,7 +111,7 @@ def run_surrogate_command(args: argparse.Namespace) -> int:
         print("surrogate: the synthetic grid produced no valid cases",
               file=sys.stderr)
         return 2
-    started = time.time()
+    started = time.perf_counter()
     before = sublayer_sweep.cache_stats().snapshot()
     result = sublayer_sweep.run_sweep(
         fast=not args.full, cases=cases, triage="surrogate",
@@ -127,7 +127,7 @@ def run_surrogate_command(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(result.to_dict(), indent=2,
                                    sort_keys=True))
         print(f"[triage report written to {path}]")
-    line = f"[surrogate finished in {time.time() - started:.1f}s"
+    line = f"[surrogate finished in {time.perf_counter() - started:.1f}s"
     if sweep.hits or sweep.misses:
         line += f"; sweep cache: {sweep.render()}"
     print(line + "]")
@@ -141,7 +141,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
         print(f"profile target must be one of {PROFILE_TARGETS}, "
               f"got {target!r}", file=sys.stderr)
         return 2
-    started = time.time()
+    started = time.perf_counter()
     report = profile.run(fast=not args.full,
                          large=(target == "figure16-large"),
                          case_filter=args.config)
@@ -149,7 +149,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
     if args.profile_out:
         path = profile.write_report(report, args.profile_out)
         print(f"[profile report written to {path}]")
-    print(f"[profile finished in {time.time() - started:.1f}s; "
+    print(f"[profile finished in {time.perf_counter() - started:.1f}s; "
           f"{len(report.cases)} case(s), cache bypassed]")
     return 0
 
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     for name in names:
-        started = time.time()
+        started = time.perf_counter()
         before = sublayer_sweep.cache_stats().snapshot()
         if args.trace_out is not None:
             result = EXPERIMENTS[name](fast=not args.full,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
             result = EXPERIMENTS[name](fast=not args.full)
         sweep = sublayer_sweep.cache_stats().delta(before)
         print(result.render())
-        line = f"[{name} finished in {time.time() - started:.1f}s"
+        line = f"[{name} finished in {time.perf_counter() - started:.1f}s"
         if sweep.hits or sweep.misses:
             line += f"; sweep cache: {sweep.render()}"
         if args.trace_out is not None:

@@ -9,9 +9,9 @@ simulation results are bit-identical with it attached or absent.
 
 On top of the raw metrics, :mod:`repro.obs.profiler` computes the paper's
 overlap decomposition (compute / hidden-communication /
-exposed-communication time and per-ring-stage critical-path attribution),
-:mod:`repro.obs.perfetto` exports counter tracks alongside the event
-trace, and :mod:`repro.obs.bench` captures benchmark trajectories.
+exposed-communication time and per-ring-stage critical-path attribution)
+and :mod:`repro.obs.perfetto` exports counter tracks alongside the event
+trace.
 """
 
 from repro.obs.registry import (

@@ -21,7 +21,7 @@ from repro.sim.primitives import (
     Store,
     Timeout,
 )
-from repro.sim.stats import Counter, IntervalStats, TimeSeries, UtilizationTracker
+from repro.sim.stats import Counter, IntervalStats, TimeSeries
 
 __all__ = [
     "AllOf",
@@ -38,5 +38,4 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
-    "UtilizationTracker",
 ]

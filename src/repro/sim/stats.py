@@ -1,4 +1,4 @@
-"""Measurement helpers: time series, counters, utilization, interval stats.
+"""Measurement helpers: time series, counters, interval stats, geomean.
 
 Every figure in the paper's evaluation is ultimately a reduction over the
 quantities recorded here (DRAM reads/writes over time for Fig. 17, access
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class TimeSeries:
@@ -80,83 +80,6 @@ class Counter:
         return sum(v for k, v in self._counts.items() if k.startswith(prefix))
 
 
-class UtilizationTracker:
-    """Tracks busy time of a unit with possibly-overlapping busy intervals.
-
-    Overlapping busy spans are merged, so utilization never exceeds 1.0.
-    Spans may arrive in any time order: the tracker keeps a sorted list of
-    disjoint merged intervals, with an O(1) fast path for the common
-    in-order case.  (A previous version kept only a high-water mark, which
-    silently discarded the non-overlapping part of any span that started
-    before an already-recorded end — out-of-order reporters undercounted.)
-    """
-
-    def __init__(self):
-        #: sorted, pairwise-disjoint ``[start, end]`` spans.
-        self._intervals: List[List[float]] = []
-        self._busy_time = 0.0
-        self._first_busy: Optional[float] = None
-
-    def busy(self, start: float, duration: float) -> None:
-        if duration < 0:
-            raise ValueError("busy duration must be >= 0")
-        if self._first_busy is None or start < self._first_busy:
-            self._first_busy = start
-        end = start + duration
-        intervals = self._intervals
-        if not intervals:
-            if end > start:
-                intervals.append([start, end])
-                self._busy_time += end - start
-            return
-        last = intervals[-1]
-        if start >= last[1]:
-            # In-order: the span begins at or after the latest recorded end.
-            if end > start:
-                intervals.append([start, end])
-                self._busy_time += end - start
-            return
-        if start >= last[0]:
-            # Overlaps only the most recent span: extend it.
-            if end > last[1]:
-                self._busy_time += end - last[1]
-                last[1] = end
-            return
-        # Out-of-order: merge into the sorted disjoint list (rare, O(n)).
-        # The busy-time delta is the span's length minus its overlap with
-        # existing coverage; overlaps are computed against the original
-        # span since existing intervals are pairwise disjoint.
-        delta = end - start
-        new_start, new_end = start, end
-        keep: List[List[float]] = []
-        for interval in intervals:
-            if interval[1] < new_start or interval[0] > new_end:
-                keep.append(interval)
-                continue
-            overlap = min(end, interval[1]) - max(start, interval[0])
-            if overlap > 0:
-                delta -= overlap
-            if interval[0] < new_start:
-                new_start = interval[0]
-            if interval[1] > new_end:
-                new_end = interval[1]
-        index = 0
-        while index < len(keep) and keep[index][0] < new_start:
-            index += 1
-        keep.insert(index, [new_start, new_end])
-        self._intervals = keep
-        self._busy_time += delta
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
-
-    def utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self._busy_time / elapsed)
-
-
 @dataclass
 class IntervalStats:
     """Start/end bookkeeping for named phases (kernels, collective steps)."""
@@ -197,12 +120,3 @@ def geomean(values: Sequence[float]) -> float:
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
-
-def weighted_mean(values: Iterable[float], weights: Iterable[float]) -> float:
-    pairs = list(zip(values, weights))
-    if not pairs:
-        raise ValueError("weighted_mean of empty sequence")
-    wsum = sum(w for _, w in pairs)
-    if wsum <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return sum(v * w for v, w in pairs) / wsum

@@ -21,7 +21,8 @@ The flow (``run_sweep(triage="surrogate")`` / ``runner surrogate``):
 
 The triage never hides its shortcut: :class:`TriageResult` records which
 cases were simulated and why, the simulated fraction, and the audit
-error statistics that the bench schema (v5) and CI assert against.
+error statistics that ``make smoke-surrogate`` (run in CI) asserts
+against.
 """
 
 from __future__ import annotations

@@ -391,6 +391,18 @@ def test_trigger_delay_follows_tracker_pressure():
     policy.observe_tracker_pressure(2, live_regions=1, capacity=0)  # no-op
 
 
+def test_adaptive_policy_wins_on_the_faulty_suites():
+    """End to end: on the first fault case, the adaptive controller
+    strictly cuts suite-level exposed communication on both faulty
+    suites, so the geomean reduction is positive."""
+    from repro.experiments import adaptive as adaptive_study
+    result = adaptive_study.quick_policy_point(fast=True)
+    for suite in ("degraded-link", "straggler"):
+        assert result.adaptive_wins(suite), (
+            suite, result.suite_exposed(suite))
+    assert result.geomean_exposed_reduction() > 0
+
+
 # -- record / replay ------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from repro.config import GEMMKernelConfig, MemoryConfig, TrackerConfig
 from repro.gpu.wavefront import GEMMShape, TileGrid, split_evenly
 from repro.memory.cache import estimate_gemm_traffic
 from repro.memory.request import AccessKind, MemRequest, Stream
-from repro.sim.stats import UtilizationTracker, geomean, weighted_mean
+from repro.sim.stats import geomean
 from repro.t3.address_map import AddressSpaceConfig, RouteKind
 from repro.t3.tracker import Tracker
 
@@ -257,18 +257,6 @@ def test_geomean_bounds(values):
     assert min(values) * 0.999 <= g <= max(values) * 1.001
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
-    weights=st.lists(st.floats(0.01, 100), min_size=1, max_size=20),
-)
-def test_weighted_mean_bounds(values, weights):
-    k = min(len(values), len(weights))
-    values, weights = values[:k], weights[:k]
-    wm = weighted_mean(values, weights)
-    assert min(values) - 1e-6 <= wm <= max(values) + 1e-6
-
-
 @settings(max_examples=30, deadline=None)
 @given(scale=st.floats(0.1, 10.0),
        values=st.lists(st.floats(0.01, 1e4), min_size=1, max_size=10))
@@ -276,20 +264,6 @@ def test_geomean_homogeneous(scale, values):
     scaled = [v * scale for v in values]
     assert geomean(scaled) == pytest.approx(geomean(values) * scale,
                                             rel=1e-6)
-
-
-@settings(max_examples=100, deadline=None)
-@given(spans=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 25)),
-                      max_size=25))
-def test_utilization_tracker_matches_interval_union(spans):
-    """Busy time equals the measure of the union of spans, regardless of
-    arrival order (integer spans make the union exactly countable)."""
-    tracker = UtilizationTracker()
-    covered = set()
-    for start, duration in spans:
-        tracker.busy(start, duration)
-        covered.update(range(start, start + duration))
-    assert tracker.busy_time == len(covered)
 
 
 # ------------------------------------------------ collective plan cross-rank

@@ -6,9 +6,7 @@ from repro.sim.stats import (
     Counter,
     IntervalStats,
     TimeSeries,
-    UtilizationTracker,
     geomean,
-    weighted_mean,
 )
 
 
@@ -120,72 +118,6 @@ def test_counter_accumulates():
     assert c.as_dict() == {"gemm.read": 150, "rs.write": 30}
 
 
-# ------------------------------------------------------- UtilizationTracker
-
-def test_utilization_basic():
-    u = UtilizationTracker()
-    u.busy(0, 50)
-    assert u.utilization(100) == pytest.approx(0.5)
-
-
-def test_utilization_merges_overlap():
-    u = UtilizationTracker()
-    u.busy(0, 60)
-    u.busy(30, 60)  # overlaps first half
-    assert u.busy_time == pytest.approx(90)
-    assert u.utilization(90) == pytest.approx(1.0)
-
-
-def test_utilization_negative_duration_rejected():
-    u = UtilizationTracker()
-    with pytest.raises(ValueError):
-        u.busy(0, -1)
-
-
-def test_utilization_zero_elapsed():
-    u = UtilizationTracker()
-    assert u.utilization(0) == 0.0
-
-
-def test_utilization_out_of_order_disjoint_span_counts():
-    # Regression: a span entirely before the recorded high-water mark
-    # used to contribute zero busy time even though it overlapped
-    # nothing.  The tracker merges, so both spans count in full.
-    u = UtilizationTracker()
-    u.busy(100, 10)
-    u.busy(0, 10)
-    assert u.busy_time == pytest.approx(20)
-
-
-def test_utilization_out_of_order_partial_overlap():
-    u = UtilizationTracker()
-    u.busy(50, 10)   # [50, 60)
-    u.busy(45, 10)   # [45, 55) — only [45, 50) is new
-    assert u.busy_time == pytest.approx(15)
-
-
-def test_utilization_out_of_order_span_bridging_gap():
-    u = UtilizationTracker()
-    u.busy(0, 10)    # [0, 10)
-    u.busy(20, 10)   # [20, 30)
-    u.busy(5, 20)    # [5, 25) — fills the gap exactly once
-    assert u.busy_time == pytest.approx(30)
-
-
-def test_utilization_out_of_order_contained_span_adds_nothing():
-    u = UtilizationTracker()
-    u.busy(0, 100)
-    u.busy(10, 5)    # fully covered
-    assert u.busy_time == pytest.approx(100)
-
-
-def test_utilization_zero_duration_span_is_noop():
-    u = UtilizationTracker()
-    u.busy(10, 0)
-    u.busy(5, 0)
-    assert u.busy_time == 0.0
-
-
 # -------------------------------------------------------------- IntervalStats
 
 def test_interval_stats_duration_and_span():
@@ -224,11 +156,3 @@ def test_geomean_validation():
     with pytest.raises(ValueError):
         geomean([1.0, 0.0])
 
-
-def test_weighted_mean():
-    assert weighted_mean([1, 3], [1, 1]) == pytest.approx(2.0)
-    assert weighted_mean([1, 3], [3, 1]) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        weighted_mean([], [])
-    with pytest.raises(ValueError):
-        weighted_mean([1], [0])

@@ -190,8 +190,8 @@ def test_synthetic_grid_default_scale():
 
 def test_round_trip_on_simulated_cases(isolated_cache):
     """Train on four simulated tiny cases, predict two held-out ones:
-    the audit error must stay within a loose sanity bound (the bench
-    asserts the tight one on its own grid)."""
+    the audit error must stay within a loose sanity bound
+    (``make smoke-surrogate`` asserts the tight one on its own grid)."""
     cases = _tiny_cases(6)
     suites = sublayer_sweep.run_sweep(
         cases=cases, configs=["Sequential", "T3"])
