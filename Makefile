@@ -5,7 +5,7 @@ export PYTHONPATH := src
 	clean-cache
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # Lint gate (ruff, configured in pyproject.toml).  Skips gracefully when
 # ruff is not installed locally; CI always installs and enforces it.

@@ -65,18 +65,18 @@ class _QuantumMachine(CallbackMachine):
     ring step reads at least the local copy and reduces it).
     """
 
-    __slots__ = ("coll", "rank", "dst_rank", "nbytes", "read_bytes",
+    __slots__ = ("coll", "gpu", "dst", "nbytes", "read_bytes",
                  "cu_bytes", "reduce_unit", "cu_bw", "chunk_id", "group",
                  "_stage", "_pending", "_hold")
 
-    def __init__(self, coll: "_RingCollectiveBase", rank: int, dst_rank: int,
+    def __init__(self, coll: "_RingCollectiveBase", rank: int, dst: int,
                  nbytes: int, read_bytes: int, cu_bytes: int,
                  reduce_unit: Resource, cu_bw: float,
                  chunk_id: Optional[int], group: CompletionGroup):
         super().__init__(coll.env)
         self.coll = coll
-        self.rank = rank
-        self.dst_rank = dst_rank
+        self.gpu = coll.topo.gpus[rank]
+        self.dst = dst
         self.nbytes = nbytes
         self.read_bytes = read_bytes
         self.cu_bytes = cu_bytes
@@ -93,9 +93,9 @@ class _QuantumMachine(CallbackMachine):
         if stage == 0:
             # Booted: issue the operand reads.
             self._stage = 1
-            coll = self.coll
-            reads = coll.topo.gpus[self.rank].mc.submit_bulk(
-                AccessKind.READ, Stream.COMPUTE, self.read_bytes, coll.label)
+            reads = self.gpu.mc.submit_bulk(
+                AccessKind.READ, Stream.COMPUTE, self.read_bytes,
+                self.coll.label)
             self._pending = len(reads)
             cb = self._read_done
             for ev in reads:
@@ -108,17 +108,14 @@ class _QuantumMachine(CallbackMachine):
             if env.faults is not None and env.faults.has_compute_faults:
                 # Straggler seam: the CU reduction of a slowed GPU paces
                 # its ring step exactly like a slowed GEMM wave.
-                hold *= env.faults.compute_factor(
-                    self.coll.topo.gpus[self.rank].gpu_id, env._now)
+                hold *= env.faults.compute_factor(self.gpu.gpu_id, env._now)
             self._hold = hold
             self.reduce_unit.request().add_callback(self._granted)
         elif stage == 2:
             # CU hold elapsed: release the unit, go on the wire.
-            coll = self.coll
             self.reduce_unit.release()
-            dst_gpu_id = coll.topo.gpus[self.dst_rank].gpu_id
-            coll.topo.gpus[self.rank].link_to(dst_gpu_id) \
-                .transfer(self.nbytes).add_callback(self._arrived)
+            self.gpu.link_to(self.dst).transfer(self.nbytes) \
+                .add_callback(self._arrived)
         elif stage == 3:
             # Writes landed (the slot the writes-AllOf used to fire in).
             self._stage = 4
@@ -139,9 +136,8 @@ class _QuantumMachine(CallbackMachine):
         # Arriving writes are tagged with the chunk they deliver, so a T3
         # Tracker at the receiver can gate consumers on chunk arrival
         # (Section 7.2).
-        coll = self.coll
-        writes = coll.topo.gpus[self.dst_rank].mc.submit_bulk(
-            AccessKind.WRITE, Stream.COMM, self.nbytes, coll.label,
+        writes = self.gpu.peer(self.dst).mc.submit_bulk(
+            AccessKind.WRITE, Stream.COMM, self.nbytes, self.coll.label,
             wg_id=self.chunk_id, chunk_id=self.chunk_id)
         self._pending = len(writes)
         cb = self._write_done
@@ -171,10 +167,11 @@ class _RingCollectiveBase:
         self.launch_overhead_ns = launch_overhead_ns
         n = topology.n_gpus
         self.chunks = chunk_sizes(nbytes_total, n)
-        #: incoming[rank][step] fires when the chunk sent to ``rank`` at
-        #: ``step`` has fully landed in its DRAM.
+        #: incoming[rank][step] fires when the chunk sent to simulated
+        #: ``rank`` at ``step`` has fully landed in its DRAM.
         self._incoming: List[Dict[int, BaseEvent]] = [
-            {s: BaseEvent(self.env) for s in range(1, n)} for _ in range(n)
+            {s: BaseEvent(self.env) for s in range(1, n)}
+            for _ in topology.gpus
         ]
         self.result = CollectiveResult()
 
@@ -194,15 +191,15 @@ class _RingCollectiveBase:
                     chunk_id: Optional[int] = None):
         """Pipeline one chunk to the downstream neighbour; returns when it
         has fully landed there, then fires the receiver's incoming event."""
-        dst_rank = self.topo.next_gpu(rank)
+        dst = self.topo.next_gpu(rank)
         quanta = self._quanta(chunk_bytes)
         group = CompletionGroup(self.env, len(quanta))
         for q in quanta:
             _QuantumMachine(
-                self, rank, dst_rank, q, read_factor * q, cu_factor * q,
+                self, rank, dst, q, read_factor * q, cu_factor * q,
                 reduce_unit, cu_bw, chunk_id, group).start()
         yield group
-        self._incoming[dst_rank][step].succeed()
+        self._incoming[self.topo.representative(dst)][step].succeed()
 
     # -- orchestration -----------------------------------------------------------
 
@@ -210,11 +207,12 @@ class _RingCollectiveBase:
         raise NotImplementedError
 
     def launch(self) -> List[Process]:
+        """Start every simulated rank (each GPU of the topology)."""
         self.result.start = self.env.now
         return [
             self.env.process(self._rank_proc(rank),
                              name=f"{self.label}.rank{rank}")
-            for rank in range(self.topo.n_gpus)
+            for rank in range(len(self.topo.gpus))
         ]
 
     def run(self) -> CollectiveResult:
@@ -226,6 +224,8 @@ class _RingCollectiveBase:
             raise RuntimeError(
                 f"{self.label} deadlocked: some rank never finished")
         self.result.end = self.env.now
+        self.result.per_rank_end = self.topo.per_rank(
+            self.result.per_rank_end)
         return self.result
 
     def _cu_bandwidth(self) -> float:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.collectives.api import CollectiveOp
 from repro.gpu.wavefront import split_evenly
@@ -309,6 +309,66 @@ def ring_production_order(n_chunks: int, rank: int,
     order = [(rank + s) % n_chunks for s in range(1, n_chunks)]
     order.append(rank % n_chunks)
     return order
+
+
+def orbit_period(n_ranks: int, rank_inputs: Callable[[int], object]) -> int:
+    """The ring's rotation period: the smallest divisor ``p`` of
+    ``n_ranks`` with ``rank_inputs(r + p) == rank_inputs(r)`` for every
+    rank ``r`` (``n_ranks`` itself when no smaller one holds).
+
+    ``rank_inputs(r)`` must describe everything rank ``r`` simulates in
+    its own frame: chunk ids counted from ``r`` (chunk ``r + j`` is
+    ``j``) and WG ids as positions within their chunk.  Equal inputs then
+    mean rank ``r + p`` runs rank ``r``'s program shifted by ``p`` chunks;
+    since every rank only ever hears from its upstream neighbour, whose
+    inputs repeat the same way, so does everything it receives.
+    """
+    inputs = [rank_inputs(rank) for rank in range(n_ranks)]
+    for period in range(1, n_ranks):
+        if n_ranks % period == 0 and all(
+                inputs[(rank + period) % n_ranks] == inputs[rank]
+                for rank in range(n_ranks)):
+            return period
+    return n_ranks
+
+
+@dataclass(frozen=True)
+class OrbitRelabel:
+    """What crosses the wrap-around link of a ring simulated on ``period``
+    representative ranks (see
+    :class:`~repro.interconnect.topology.OrbitRingTopology`).
+
+    Representative 0 sends downstream to ring rank ``n_chunks - 1``,
+    which representative ``period - 1`` stands for, shifted by
+    ``n_chunks - period`` chunks.  Chunk ``c`` of the sender therefore
+    lands as chunk ``c + period`` in the receiver's frame, and WG ``w``
+    as ``w + period * n_wgs / n_chunks``: the orbit exists only when every
+    chunk holds the same number of WGs.  Ids counted in chunks (the
+    baseline ring's arrival tags) pass ``n_wgs == n_chunks``.  The
+    all-gather after a fused run crosses the fused run's relabel, so its
+    chunk-numbered WG tags move by the WG shift; no Tracker region is
+    live by then, so they count as untracked either way.
+    """
+
+    n_chunks: int
+    period: int
+    n_wgs: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.period < self.n_chunks \
+                or self.n_chunks % self.period or self.n_wgs % self.n_chunks:
+            raise ValueError(f"no rotation orbit: {self}")
+
+    def chunk(self, chunk_id: Optional[int]) -> Optional[int]:
+        if chunk_id is None:
+            return None
+        return (chunk_id + self.period) % self.n_chunks
+
+    def wg(self, wg_id: Optional[int]) -> Optional[int]:
+        if wg_id is None:
+            return None
+        shift = self.period * (self.n_wgs // self.n_chunks)
+        return (wg_id + shift) % self.n_wgs
 
 
 def _clamped_chunks(n_ranks: int, n_chunks: Optional[int],

@@ -19,22 +19,32 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.traffic import DramBreakdown, collect_breakdown
 from repro.collectives.baseline import RingAllGather, RingReduceScatter
 from repro.collectives.api import rs_with_nmc_time
+from repro.collectives.plan import (
+    OrbitRelabel,
+    orbit_period,
+    ring_reduce_scatter_plan,
+)
+from repro.collectives.schedule import chunk_sizes
 from repro.config import SystemConfig
 from repro.faults import FaultInjector, FaultPlan, InvariantChecker
 from repro.gpu.gemm import GEMMKernel
 from repro.gpu.wavefront import GEMMShape, TileGrid
-from repro.interconnect.topology import RingTopology
-from repro.memory.cache import estimate_gemm_traffic
+from repro.interconnect.topology import (
+    OrbitRingTopology,
+    RingTopology,
+    Topology,
+)
+from repro.memory.cache import GEMMTraffic, estimate_gemm_traffic
 from repro.models.transformer import SubLayer
 from repro.models import zoo
 from repro.sim import Environment
 from repro.t3.configs import CONFIGS, RunConfig, config_by_name
-from repro.t3.fusion import FusedGEMMRS
+from repro.t3.fusion import FusedGEMMRS, output_tiles, rank_geometry
 
 #: every configuration name ``run_sublayer_suite`` understands, in the
 #: Section 5.3 order.  Requests are validated against this set so a typo
@@ -161,15 +171,111 @@ def _fresh_topology(system: SystemConfig, policy: str,
     return env, RingTopology(env, system, policy_name=policy)
 
 
+# -- rotation orbits --------------------------------------------------------
+#
+# On a fault-free, uninstrumented, statically-arbitrated flat ring every
+# rank runs the same staggered program, rotated by one chunk per rank.
+# When rank r + p's inputs equal rank r's shifted by p chunks, the p
+# representatives of an OrbitRingTopology reproduce every rank of the
+# ring exactly, and per-rank results are read back as rank r ->
+# representative r mod p.  Attached instruments (faults, invariants,
+# registries, traces, resilience) record per-GPU state the orbit does not
+# replicate, so instrumented runs keep the full ring.
+
+
+def _orbit_eligible(system: SystemConfig, faults, check_invariants: bool,
+                    obs, resilience, trace) -> bool:
+    """The one orbit predicate, minus the plan shape that
+    :func:`_fused_orbit` checks: nothing attached, static overlap
+    policy."""
+    return (faults is None and not check_invariants and obs is None
+            and trace is None and not resilience
+            and system.policy.kind == "static")
+
+
+def _ring_frame(sizes: List[int], rank: int) -> Tuple[int, ...]:
+    """Per-chunk sizes in ``rank``'s frame (chunk ``rank + j`` first)."""
+    n = len(sizes)
+    return tuple(sizes[(rank + j) % n] for j in range(n))
+
+
+def _fused_frame(grid: TileGrid, traffic: GEMMTraffic,
+                 ring_chunks: List[int], rank: int) -> tuple:
+    """Everything a fused rank simulates, in its own frame: the chunk WG
+    counts and the all-gather's chunk sizes; per stage its WGs, in order,
+    and its per-chunk output bytes; and the stage read/write bytes.
+
+    A WG is written as its distance from the start of the rank's own
+    chunk (mod the WG count).  That names its (chunk, position in chunk)
+    exactly when every chunk holds the same number of WGs; with unequal
+    chunks the counts already differ between any two ranks' frames."""
+    n = grid.n_chunks
+    n_wgs = grid.n_wgs
+    first = grid.chunk_ranges[rank][0]
+    # position[wg] == (wg - first) % n_wgs, built without a Python loop.
+    position = list(range(n_wgs - first, n_wgs)) + list(range(n_wgs - first))
+    stages = tuple(
+        (tuple(map(position.__getitem__, stage.wg_ids)),
+         tuple(((chunk - rank) % n, nbytes)
+               for chunk, nbytes in stage.chunk_bytes.items()))
+        for stage in grid.stages)
+    wg_counts = [count for _start, count in grid.chunk_ranges]
+    return (_ring_frame(wg_counts, rank), _ring_frame(ring_chunks, rank),
+            stages, traffic.stage_read_bytes, traffic.stage_write_bytes)
+
+
+def _ring(system: SystemConfig, policy: str,
+          orbit: Callable[[], Optional[OrbitRelabel]],
+          record_traffic: bool, faults: Optional[FaultPlan],
+          check_invariants: bool, obs, resilience, trace
+          ) -> Tuple[Environment, RingTopology]:
+    """The run's ring: an orbit ring when nothing is attached and
+    ``orbit()`` finds a period below the ring size, else the full ring
+    of :func:`_fresh_topology`."""
+    if _orbit_eligible(system, faults, check_invariants, obs, resilience,
+                       trace):
+        relabel = orbit()
+        if relabel is not None:
+            env = Environment()
+            if record_traffic:
+                system = system.with_fidelity(record_traffic=True)
+            return env, OrbitRingTopology(env, system, relabel,
+                                          policy_name=policy)
+    return _fresh_topology(system, policy, record_traffic, faults,
+                           check_invariants, obs, resilience, trace)
+
+
+def _rank_breakdown(topo: Topology) -> DramBreakdown:
+    """``collect_breakdown`` over every rank of the ring, each read from
+    the GPU that simulated it (summed in rank order, so an orbit's
+    breakdown is bit-identical to the full ring's)."""
+    return collect_breakdown(topo.gpus[topo.representative(rank)]
+                             for rank in range(topo.n_gpus))
+
+
+def _sequential_orbit(system: SystemConfig,
+                      shape: GEMMShape) -> Optional[OrbitRelabel]:
+    """The Sequential run's orbit relabel, or None for the full ring.
+    Every rank's GEMM is the same unchunked grid, so only the ring's
+    chunk sizes can tell ranks apart; its arrival tags count chunks."""
+    n = system.n_gpus
+    ring_chunks = chunk_sizes(shape.output_bytes, n)
+    period = orbit_period(n, lambda rank: _ring_frame(ring_chunks, rank))
+    if period == n:
+        return None
+    return OrbitRelabel(n_chunks=n, period=period, n_wgs=n)
+
+
 def _run_sequential(system: SystemConfig, shape: GEMMShape,
                     record_traffic: bool = False,
                     faults: Optional[FaultPlan] = None,
                     check_invariants: bool = False,
                     obs=None, resilience=None, trace=None):
     """GEMM on all GPUs, then ring-RS, then ring-AG; returns parts."""
-    env, topo = _fresh_topology(system, "compute-priority", record_traffic,
-                                faults, check_invariants, obs, resilience,
-                                trace)
+    env, topo = _ring(system, "compute-priority",
+                      lambda: _sequential_orbit(system, shape),
+                      record_traffic, faults, check_invariants, obs,
+                      resilience, trace)
     kernels = []
     for gpu in topo.gpus:
         grid = TileGrid(shape, system.gemm, n_cus=system.compute.n_cus)
@@ -192,14 +298,37 @@ def _run_sequential(system: SystemConfig, shape: GEMMShape,
     return topo, gemm_time, rs_time, ag_time
 
 
+def _fused_orbit(system: SystemConfig,
+                 shape: GEMMShape) -> Optional[OrbitRelabel]:
+    """The fused run's orbit relabel, or None for the full ring: when
+    ``FusedGEMMRS``'s plan is not a flat ring of one chunk per rank, or
+    no period below the ring size holds."""
+    n = system.n_gpus
+    tiles = output_tiles(shape, system)
+    plan = ring_reduce_scatter_plan(n, max_chunks=tiles)
+    if plan.n_chunks != n:
+        return None
+    ring_chunks = chunk_sizes(shape.output_bytes, n)
+
+    def frame(rank: int) -> tuple:
+        grid, traffic = rank_geometry(system, shape, plan, rank,
+                                      system.compute.n_cus)
+        return _fused_frame(grid, traffic, ring_chunks, rank)
+
+    period = orbit_period(n, frame)
+    if period == n:
+        return None
+    return OrbitRelabel(n_chunks=n, period=period, n_wgs=tiles)
+
+
 def _run_fused(system: SystemConfig, shape: GEMMShape, config: RunConfig,
                record_traffic: bool = False,
                faults: Optional[FaultPlan] = None,
                check_invariants: bool = False,
                obs=None, resilience=None, trace=None):
-    env, topo = _fresh_topology(system, config.mc_policy, record_traffic,
-                                faults, check_invariants, obs, resilience,
-                                trace)
+    env, topo = _ring(system, config.mc_policy,
+                      lambda: _fused_orbit(system, shape), record_traffic,
+                      faults, check_invariants, obs, resilience, trace)
     fused = FusedGEMMRS(topo, shape,
                         calibrate_mca=(config.mc_policy == "mca"))
     fused_result = fused.run()
@@ -282,7 +411,7 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
                                                trace=_trace("Sequential"))
     suite.gemm_time, suite.rs_time, suite.ag_time = gemm_t, rs_t, ag_t
     suite.times["Sequential"] = gemm_t + rs_t + ag_t
-    suite.traffic["Sequential"] = collect_breakdown(topo.gpus)
+    suite.traffic["Sequential"] = _rank_breakdown(topo)
 
     for name in ("T3", "T3-MCA"):
         if name not in wanted:
@@ -292,7 +421,7 @@ def run_sublayer_suite(system: SystemConfig, shape: GEMMShape,
             faults, check_invariants, obs=_registry(name),
             resilience=resilience, trace=_trace(name))
         suite.times[name] = total
-        suite.traffic[name] = collect_breakdown(topo_f.gpus)
+        suite.traffic[name] = _rank_breakdown(topo_f)
 
     if "Ideal-GEMM-RS-Overlap" in wanted:
         suite.times["Ideal-GEMM-RS-Overlap"] = max(gemm_t, rs_t) + ag_t

@@ -8,12 +8,17 @@ the directed :class:`~repro.sim.primitives.Pipe` links between them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, TypeVar
 
 from repro.config import SystemConfig
 from repro.gpu.gpu import GPU
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.primitives import Pipe
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.collectives.plan import OrbitRelabel
+
+T = TypeVar("T")
 
 
 class Topology:
@@ -25,7 +30,7 @@ class Topology:
         self.system = system
         self.gpus: List[GPU] = [
             GPU(env, gpu_id, system, policy_name=policy_name)
-            for gpu_id in range(system.n_gpus)
+            for gpu_id in range(self._n_simulated())
         ]
         self.links: Dict[Tuple[int, int], Pipe] = {}
         self._wire()
@@ -33,6 +38,22 @@ class Topology:
     # subclasses define which directed edges exist
     def edges(self) -> List[Tuple[int, int]]:
         raise NotImplementedError
+
+    def _n_simulated(self) -> int:
+        """GPUs this topology simulates: one per rank."""
+        return self.system.n_gpus
+
+    def _endpoint(self, rank: int):
+        """What a link to ``rank`` delivers into."""
+        return self.gpus[rank]
+
+    def representative(self, rank: int) -> int:
+        """Index into ``gpus`` of the GPU that simulates ring rank ``rank``."""
+        return rank % len(self.gpus)
+
+    def per_rank(self, values: Dict[int, T]) -> Dict[int, T]:
+        """Per-rank results of every rank, from the simulated GPUs' ones."""
+        return values
 
     def _make_pipe(self, src: int, dst: int, bandwidth: float,
                    latency_ns: float, suffix: str = "") -> Pipe:
@@ -49,7 +70,7 @@ class Topology:
         pipe.nominal_bandwidth = nominal_bandwidth
         pipe.nominal_latency_ns = nominal_latency
         self.links[(src, dst)] = pipe
-        self.gpus[src].connect(self.gpus[dst], pipe)
+        self.gpus[src].connect(self._endpoint(dst), pipe)
         return pipe
 
     def _wire(self) -> None:
@@ -65,7 +86,8 @@ class Topology:
 
     @property
     def n_gpus(self) -> int:
-        return len(self.gpus)
+        """Ranks of the topology (simulated or represented)."""
+        return self.system.n_gpus
 
     def total_bytes_on_wire(self) -> float:
         return sum(pipe.bytes_sent for pipe in self.links.values())
@@ -89,6 +111,67 @@ class RingTopology(Topology):
     def prev_gpu(self, rank: int) -> int:
         """Upstream neighbour (the one ``rank`` receives chunks from)."""
         return (rank + 1) % self.system.n_gpus
+
+
+class _RotatedPeer:
+    """Ring rank ``gpu_id`` seen across the orbit ring's wrap-around link:
+    the representative ``gpu``, with every delivered chunk and WG id
+    shifted into its frame.  It stands in for both the peer GPU and its
+    memory controller (``mc``), the only part a sender reaches."""
+
+    def __init__(self, gpu: GPU, gpu_id: int, relabel: "OrbitRelabel"):
+        self.gpu = gpu
+        self.gpu_id = gpu_id
+        self.mc = self
+        self.relabel = relabel
+
+    def submit_bulk(self, kind, stream, nbytes, label,
+                    wg_id: Optional[int] = None,
+                    wf_id: Optional[int] = None,
+                    chunk_id: Optional[int] = None):
+        return self.gpu.mc.submit_bulk(
+            kind, stream, nbytes, label, wg_id=self.relabel.wg(wg_id),
+            wf_id=wf_id, chunk_id=self.relabel.chunk(chunk_id))
+
+
+class OrbitRingTopology(RingTopology):
+    """A ring simulated on one rank per rotation orbit.
+
+    When rank ``r + p`` runs rank ``r``'s program shifted by ``p`` chunks
+    (:func:`~repro.collectives.plan.orbit_period`), ``p`` representative
+    GPUs reproduce every rank of the ``n``-GPU ring exactly: ring rank
+    ``r`` is representative ``r mod p``.  Representatives keep the ring's
+    downstream links; representative 0's wraps to representative
+    ``p - 1`` (itself when ``p == 1``), which stands for ring rank
+    ``n - 1`` and so receives every chunk and WG id shifted by ``p``
+    (:class:`~repro.collectives.plan.OrbitRelabel`).  Links and peers keep
+    ring rank ids, so senders address rank ``n - 1`` as on the full ring.
+
+    Only the downstream links are wired: the flat ring-RS/AG and fused
+    ring-RS use no other.
+    """
+
+    def __init__(self, env: Environment, system: SystemConfig,
+                 relabel: "OrbitRelabel",
+                 policy_name: str = "compute-priority"):
+        self.relabel = relabel
+        super().__init__(env, system, policy_name=policy_name)
+
+    def _n_simulated(self) -> int:
+        return self.relabel.period
+
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(rank, self.next_gpu(rank)) for rank in range(len(self.gpus))]
+
+    def _endpoint(self, rank: int):
+        gpu = self.gpus[self.representative(rank)]
+        if gpu.gpu_id == rank:
+            return gpu
+        return _RotatedPeer(gpu, rank, self.relabel)
+
+    def per_rank(self, values: Dict[int, T]) -> Dict[int, T]:
+        return {rank: values[self.representative(rank)]
+                for rank in range(self.n_gpus)}
 
 
 class FullyConnectedTopology(Topology):

@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.collectives.plan import CollectivePlan, plan_for
+from repro.config import SystemConfig
 from repro.gpu.dma import DMACommand
 from repro.gpu.gemm import GEMMKernel, GEMMResult, StoreSink
 from repro.gpu.wavefront import GEMMShape, StageInfo, TileGrid
 from repro.interconnect.topology import Topology
-from repro.memory.cache import estimate_gemm_traffic
+from repro.memory.cache import GEMMTraffic, estimate_gemm_traffic
 from repro.memory.nmc import ReductionBuffer
 from repro.memory.request import AccessKind, MemRequest, Stream
 from repro.sim.engine import BaseEvent, SimulationError
@@ -58,6 +59,27 @@ class FusedResult:
     @property
     def gemm_duration(self) -> float:
         return max(r.duration for r in self.gemm_results)
+
+
+def output_tiles(shape: GEMMShape, system: SystemConfig) -> int:
+    """Macro tiles of the output: the most chunks a fused ring-RS plan can
+    cut it into."""
+    gemm = system.gemm
+    return (math.ceil(shape.m / gemm.macro_tile_m)
+            * math.ceil(shape.n / gemm.macro_tile_n))
+
+
+def rank_geometry(system: SystemConfig, shape: GEMMShape,
+                  plan: CollectivePlan, rank: int, n_cus: int,
+                  stagger: bool = True) -> Tuple[TileGrid, GEMMTraffic]:
+    """Rank ``rank``'s chunk-ordered tile grid and the DRAM traffic of its
+    fused GEMM (output writes bypass the LLC for NMC)."""
+    grid = TileGrid(shape, system.gemm, n_cus=n_cus,
+                    n_chunks=plan.n_chunks, chunk_offset=rank,
+                    stagger=stagger,
+                    production_order=plan.production_order(rank))
+    return grid, estimate_gemm_traffic(grid, system.memory,
+                                       bypass_writes=True)
 
 
 class T3StoreSink(StoreSink):
@@ -125,7 +147,9 @@ class FusedGEMMRS:
     production order shapes each rank's :class:`TileGrid`.  On a
     :class:`~repro.interconnect.topology.HierarchicalRingTopology` the
     plan is the two-phase intra-node/inter-node ring, so the same fusion
-    runs multi-node.
+    runs multi-node.  On an
+    :class:`~repro.interconnect.topology.OrbitRingTopology` it programs
+    only the representative GPUs and reports results for every ring rank.
     """
 
     def __init__(self, topology: Topology, shape: GEMMShape,
@@ -172,24 +196,22 @@ class FusedGEMMRS:
         if plan is None:
             # Graceful small-shape chunking: a tiny output that cannot be
             # cut N ways gets a plan over fewer chunks instead of raising.
-            tiles = (math.ceil(shape.m / self.system.gemm.macro_tile_m)
-                     * math.ceil(shape.n / self.system.gemm.macro_tile_n))
-            max_chunks = tiles if collective == "ring-rs" else None
+            max_chunks = (output_tiles(shape, self.system)
+                          if collective == "ring-rs" else None)
             plan = plan_for(topology, collective, max_chunks=max_chunks,
                             split_k=split_k, stagger=self.stagger)
         if plan.n_ranks != n:
             raise ValueError(
                 f"plan covers {plan.n_ranks} ranks but the topology has {n}")
         self.plan = plan
-        self.grids: List[TileGrid] = [
-            TileGrid(shape, self.system.gemm, n_cus=self.n_cus,
-                     n_chunks=plan.n_chunks, chunk_offset=rank,
-                     stagger=self.stagger,
-                     production_order=plan.production_order(rank))
-            for rank in range(n)
-        ]
+        #: one rank per simulated GPU (all of them on a full topology).
+        ranks = range(len(topology.gpus))
+        geometry = [rank_geometry(self.system, shape, plan, rank, self.n_cus,
+                                  self.stagger) for rank in ranks]
+        self.grids: List[TileGrid] = [grid for grid, _ in geometry]
+        self._traffic: List[GEMMTraffic] = [traffic for _, traffic in geometry]
         self.address_configs = [
-            AddressSpaceConfig.from_plan(plan, rank) for rank in range(n)
+            AddressSpaceConfig.from_plan(plan, rank) for rank in ranks
         ]
         self.trackers: List[Tracker] = []
         self.controllers: List[TriggerController] = []
@@ -198,7 +220,7 @@ class FusedGEMMRS:
         self.kernels: List[GEMMKernel] = []
         self.ledgers: List[Optional[ReductionBuffer]] = []
         self.result = FusedResult()
-        for rank in range(n):
+        for rank in ranks:
             self._setup_rank(rank)
 
     # -- per-rank configuration ("driver" work, Figure 12) -----------------------
@@ -264,11 +286,9 @@ class FusedGEMMRS:
                     lambda ev, r=rank: self.result.per_rank_terminal.__setitem__(
                         r, ev.value))
 
-        traffic = estimate_gemm_traffic(grid, self.system.memory,
-                                        bypass_writes=True)
         kernel = GEMMKernel(
-            grid, traffic, sink=T3StoreSink(self, rank), label="gemm",
-            n_cus=self.n_cus, calibrate_mca=self.calibrate_mca,
+            grid, self._traffic[rank], sink=T3StoreSink(self, rank),
+            label="gemm", n_cus=self.n_cus, calibrate_mca=self.calibrate_mca,
         )
         self.trackers.append(tracker)
         self.controllers.append(controller)
@@ -336,7 +356,11 @@ class FusedGEMMRS:
             finished_at[0]
             if runtime is not None and runtime.armed and finished_at
             else self.env.now)
-        self.result.gemm_results = [k.result for k in self.kernels]
+        self.result.gemm_results = [
+            self.kernels[self.topo.representative(rank)].result
+            for rank in range(self.system.n_gpus)]
+        self.result.per_rank_terminal = self.topo.per_rank(
+            self.result.per_rank_terminal)
         if self.env.invariants is not None:
             self.env.invariants.check_all()
         if self.check_invariants:

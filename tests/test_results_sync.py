@@ -3,10 +3,13 @@
 ``results/*.txt`` are committed artifacts of ``scripts/capture_results``;
 when a simulator change shifts the numbers, the files must be
 regenerated.  Re-rendering every figure is minutes of simulation, so this
-test compares only the *cheap* (closed-form / sub-second) experiments
-live against their checked-in bodies — any drift in shared config or
-rendering code trips it immediately, and the expensive figures are
-validated by the same mechanism whenever ``make results`` is run.
+test compares only the *cheap* experiments live against their
+checked-in bodies — the closed-form tables and Figure 4, plus the sweep
+figures 15, 16 and 18, which share one fast 16-case sweep (about 2 s now
+that fault-free suites simulate one rank per rotation orbit; the session
+sweep cache runs it once for all three).  Any drift in shared config,
+simulation or rendering code trips it immediately; the other figures
+are validated by the same mechanism whenever ``make results`` is run.
 """
 
 import pathlib
@@ -19,7 +22,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
 
 #: experiments cheap enough to re-render on every test run.
-CHEAP = ("table1", "table2", "table3", "figure4")
+CHEAP = ("table1", "table2", "table3", "figure4", "figure15", "figure16",
+         "figure18")
 
 
 def body(text: str) -> str:

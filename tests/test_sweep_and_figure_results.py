@@ -10,6 +10,20 @@ from repro.experiments.figure15 import Figure15Row
 from repro.models import zoo
 
 
+# ------------------------------------------------------------ ideal bound
+
+def test_ideal_rs_nmc_bounds_t3_on_every_fast_row():
+    """T3 beats Sequential, and Ideal-RS+NMC (contention-free overlap
+    with the NMC reduce-scatter T3 itself uses) bounds T3 and T3-MCA on
+    every row of the fast Figure 16 sweep.  Ideal-GEMM-RS-Overlap is no
+    such bound: it overlaps the slower non-NMC reduce-scatter."""
+    for suite in sublayer_sweep.run_sweep(fast=True):
+        times = suite.times
+        assert times["T3"] < times["Sequential"], suite.label
+        for name in ("T3", "T3-MCA"):
+            assert times[name] >= times["Ideal-RS+NMC"], (suite.label, name)
+
+
 # ------------------------------------------------------------ sweep caching
 
 def test_run_case_caches_by_label_and_system():
