@@ -26,7 +26,8 @@ ORDER = [
     "table1", "table2", "table3", "figure4", "figure6", "figure14",
     "figure15", "figure16", "figure16-large", "figure17", "figure18",
     "figure19", "figure20", "fault-sweep", "scaleout", "chaos",
-    "adaptive",
+    "adaptive", "generation", "precision", "following-ops",
+    "consumer-fusion", "in-switch", "dp-overlap",
 ]
 
 

@@ -171,55 +171,6 @@ class CollectivePlan:
         """Byte count per chunk (balanced, summing to the payload)."""
         return split_evenly(nbytes_total, self.n_chunks)
 
-    # -- repair / rebuild ---------------------------------------------------
-
-    def relabeled(self, mapping: Dict[int, int]) -> "CollectivePlan":
-        """A physically-relabelled copy: logical rank ``r``'s schedule
-        runs on physical rank ``mapping[r]``.
-
-        ``mapping`` must be a permutation of ``range(n_ranks)``.  Chunk
-        ids are untouched — a chunk's terminal owner moves with its
-        logical rank — and each rank's production order (chunk ids) is
-        preserved, so the relabelled plan programs the same Tracker
-        regions and DMA byte counts, just onto different physical links.
-        This is the repair layer's core primitive: a ring *reversal*
-        (``r -> -r mod N``) moves the whole collective onto the backward
-        ring links (avoiding one degraded forward edge), and a *rotation*
-        (``r -> r+c mod N``) re-seats which physical rank plays which
-        logical role (straggler demotion).  Callers must re-``validate()``
-        the result; relabelling preserves validity by construction.
-        """
-        n = self.n_ranks
-        if sorted(mapping) != list(range(n)) \
-                or sorted(mapping.values()) != list(range(n)):
-            raise ValueError(
-                f"relabel mapping must be a permutation of range({n}), "
-                f"got {mapping!r}")
-        new_ranks: List[Optional[RankPlan]] = [None] * n
-        for plan in self.ranks:
-            steps = [
-                PlanStep(step=s.step, stage=s.stage, dst=mapping[s.dst],
-                         src=mapping[s.src], send_chunks=s.send_chunks,
-                         recv_chunks=s.recv_chunks)
-                for s in plan.steps
-            ]
-            routes = {
-                cid: ChunkRoute(
-                    chunk_id=route.chunk_id, kind=route.kind,
-                    dst_gpu=(None if route.dst_gpu is None
-                             else mapping[route.dst_gpu]),
-                    expected_updates=route.expected_updates,
-                    op=route.op, stage=route.stage)
-                for cid, route in plan.routes.items()
-            }
-            new_ranks[mapping[plan.rank]] = RankPlan(
-                rank=mapping[plan.rank], steps=steps, routes=routes,
-                production_order=list(plan.production_order))
-        return CollectivePlan(
-            op=self.op, collective=self.collective, n_ranks=n,
-            n_chunks=self.n_chunks, stage_names=self.stage_names,
-            split_k=self.split_k, ranks=list(new_ranks))
-
     # -- consistency --------------------------------------------------------
 
     def validate(self) -> None:

@@ -7,11 +7,11 @@ into a fused GEMM-RS and measures three things:
 * the **no-response baseline** — the same fused run without the
   resilience layer.  Dropped DMA completions and Tracker evictions
   deadlock it (diagnosed by the drain check / watchdog, never a hang);
-* the **resilient run** — a :class:`~repro.resilience.ResilienceRuntime`
-  attached, walking the :class:`~repro.resilience.ScenarioLadder` on
-  failure: RUN -> RETRY (escalated deadlines/budgets) -> REPAIR (the
-  plan rebuilt around the runtime's diagnosis) -> FALLBACK (plan-driven
-  Sequential on the same faulty machine);
+* the **resilient run** — one fused attempt with a
+  :class:`~repro.resilience.ResilienceRuntime` attached.  If in-run
+  recovery cannot save it, the scenario falls back to the plan-driven
+  Sequential time measured on the same faulty machine; if that failed
+  too, the scenario is dead (rungs RUN -> FALLBACK -> DEAD);
 * a **Sequential reference** under the identical fault plan, so retained
   speedup means "how much of T3's win survives the fault *and* the
   recovery overhead".
@@ -54,11 +54,8 @@ from repro.interconnect.topology import (
 from repro.memory.cache import estimate_gemm_traffic
 from repro.resilience import (
     LadderRung,
-    RepairResult,
     ResiliencePolicy,
     ResilienceRuntime,
-    ScenarioLadder,
-    repair_for_diagnosis,
 )
 from repro.sim import Environment
 from repro.sim.engine import SimulationError
@@ -218,13 +215,12 @@ def campaign_scenarios(seeds: int = FAST_SEEDS) -> List[ChaosScenario]:
 
 @dataclass
 class Attempt:
-    """One simulated run inside a scenario (any rung)."""
+    """One simulated fused run inside a scenario."""
 
     ok: bool
     duration: float = 0.0
     error: str = ""
     runtime: Optional[ResilienceRuntime] = None
-    plan: Optional[object] = None        # the fused CollectivePlan used
     invariant_violation: bool = False
     watchdog: bool = False
 
@@ -236,7 +232,6 @@ class Attempt:
 def _build_env(spec: TopologySpec, system: SystemConfig, mc_policy: str,
                plan: FaultPlan,
                resilience: Optional[ResiliencePolicy],
-               check_invariants: bool = True,
                trace=None, obs=None):
     """Fresh environment + topology for one run.  The resilience runtime
     attaches *before* the topology wires so statically-degraded links are
@@ -251,8 +246,7 @@ def _build_env(spec: TopologySpec, system: SystemConfig, mc_policy: str,
     env.faults.bind_env(env)
     if obs is not None:
         env.faults.bind_obs(obs)
-    if check_invariants:
-        env.invariants = InvariantChecker(env)
+    env.invariants = InvariantChecker(env)
     runtime = (ResilienceRuntime(resilience).attach(env)
                if resilience is not None else None)
     if spec.gpus_per_node:
@@ -265,24 +259,18 @@ def _build_env(spec: TopologySpec, system: SystemConfig, mc_policy: str,
 
 def _attempt_fused(scenario: ChaosScenario, system: SystemConfig,
                    resilience: Optional[ResiliencePolicy],
-                   plan_override=None, trace=None, obs=None) -> Attempt:
+                   trace=None, obs=None) -> Attempt:
     """One fused GEMM-RS run; failures come back diagnosed, not raised."""
     mca = scenario.scheduler == "T3-MCA"
     env, topo, runtime = _build_env(
         scenario.topology, system, "mca" if mca else "compute-priority",
         scenario.plan, resilience, trace=trace, obs=obs)
-    collective_plan = None
     try:
-        fused = FusedGEMMRS(topo, CHAOS_SHAPE, calibrate_mca=mca,
-                            plan=plan_override)
-        collective_plan = fused.plan
-        result = fused.run()
+        result = FusedGEMMRS(topo, CHAOS_SHAPE, calibrate_mca=mca).run()
     except (SimulationError, RuntimeError) as exc:
         return Attempt(ok=False, error=str(exc), runtime=runtime,
-                       plan=collective_plan,
                        watchdog="watchdog" in str(exc).lower())
-    attempt = Attempt(ok=True, duration=result.duration, runtime=runtime,
-                      plan=collective_plan)
+    attempt = Attempt(ok=True, duration=result.duration, runtime=runtime)
     try:
         env.invariants.check_all()
     except InvariantViolation as exc:
@@ -315,8 +303,7 @@ def _plan_driven_time(scenario: ChaosScenario,
     gemm_time = max(k.result.duration for k in kernels)
     rs = PlannedReduceScatter(topo, CHAOS_SHAPE.output_bytes)
     rs_time = rs.run().duration
-    if env.invariants is not None:
-        env.invariants.check_all()
+    env.invariants.check_all()
     return gemm_time + rs_time
 
 
@@ -331,7 +318,6 @@ class ScenarioOutcome:
     resilient_survived: bool
     resilient_time: Optional[float]
     rung: LadderRung
-    repair_action: str
     sequential_time: Optional[float]
     detections: int
     recoveries: int
@@ -354,19 +340,10 @@ class ScenarioOutcome:
         return self.sequential_time / self.baseline_time
 
 
-def _maybe_repair(attempt: Attempt) -> Optional[RepairResult]:
-    """A plan repair derived from the failed attempt's diagnosis, when
-    the monitors saw anything actionable."""
-    if attempt.runtime is None or attempt.plan is None:
-        return None
-    repair = repair_for_diagnosis(attempt.plan,
-                                  attempt.runtime.diagnosis())
-    return repair if repair.changed else None
-
-
 def run_scenario(scenario: ChaosScenario,
                  system: SystemConfig) -> ScenarioOutcome:
-    """Baseline, resilient ladder walk and Sequential reference for one
+    """Baseline, resilient run (falling back to Sequential when in-run
+    recovery cannot save it) and Sequential reference for one
     scenario."""
     baseline = _attempt_fused(scenario, system, resilience=None)
     try:
@@ -375,40 +352,17 @@ def run_scenario(scenario: ChaosScenario,
     except (SimulationError, RuntimeError):
         sequential_time = None
 
-    policy = ResiliencePolicy()
-    ladder = ScenarioLadder(max_retries=1)
-    runtimes: List[ResilienceRuntime] = []
-    repair_action = ""
+    resilient = _attempt_fused(scenario, system,
+                               resilience=ResiliencePolicy())
+    if resilient.survived:
+        rung, resilient_time = LadderRung.RUN, resilient.duration
+    elif sequential_time is not None:
+        rung, resilient_time = LadderRung.FALLBACK, sequential_time
+    else:
+        rung, resilient_time = LadderRung.DEAD, None
 
-    current = _attempt_fused(scenario, system, resilience=policy)
-    if current.runtime is not None:
-        runtimes.append(current.runtime)
-    ladder.settled(LadderRung.RUN, current.survived)
-    rung = LadderRung.RUN
-    while not current.survived:
-        repair = _maybe_repair(current)
-        rung = ladder.next_rung(can_repair=repair is not None)
-        if rung is LadderRung.DEAD:
-            break
-        if rung is LadderRung.RETRY:
-            current = _attempt_fused(
-                scenario, system,
-                resilience=policy.escalated(ladder.retry_attempt))
-        elif rung is LadderRung.REPAIR:
-            repair_action = repair.action
-            current = _attempt_fused(scenario, system, resilience=policy,
-                                     plan_override=repair.plan)
-        else:  # FALLBACK: plan-driven Sequential on the faulty machine
-            if sequential_time is not None:
-                current = Attempt(ok=True, duration=sequential_time)
-            else:
-                current = Attempt(ok=False,
-                                  error="fallback Sequential failed too")
-        if current.runtime is not None:
-            runtimes.append(current.runtime)
-        ladder.settled(rung, current.survived)
-
-    records = [r for rt in runtimes for r in rt.recoveries]
+    runtime = resilient.runtime
+    records = runtime.recoveries
     mttr = (sum(r.time_to_recover_ns for r in records) / len(records)
             if records else None)
     return ScenarioOutcome(
@@ -417,17 +371,16 @@ def run_scenario(scenario: ChaosScenario,
         baseline_time=baseline.duration if baseline.survived else None,
         baseline_error=baseline.error.splitlines()[0] if baseline.error
         else "",
-        resilient_survived=current.survived,
-        resilient_time=current.duration if current.survived else None,
+        resilient_survived=resilient_time is not None,
+        resilient_time=resilient_time,
         rung=rung,
-        repair_action=repair_action,
         sequential_time=sequential_time,
-        detections=sum(rt.detections for rt in runtimes),
+        detections=runtime.detections,
         recoveries=len(records),
         mttr_ns=mttr,
         invariant_violation=(baseline.invariant_violation
-                             or current.invariant_violation),
-        watchdog_hang=baseline.watchdog or current.watchdog,
+                             or resilient.invariant_violation),
+        watchdog_hang=baseline.watchdog or resilient.watchdog,
     )
 
 
@@ -489,8 +442,7 @@ class ChaosResult:
     def rung_distribution(self) -> Dict[str, int]:
         dist: Dict[str, int] = {}
         for o in self.outcomes:
-            rung = o.rung.value if o.resilient_survived else "dead"
-            dist[rung] = dist.get(rung, 0) + 1
+            dist[o.rung.value] = dist.get(o.rung.value, 0) + 1
         return dist
 
     def render(self) -> str:
@@ -534,7 +486,7 @@ class ChaosResult:
         lines.append("")
         dist = self.rung_distribution()
         rungs = ", ".join(f"{name}={dist[name]}" for name in
-                          ("run", "retry", "repair", "fallback", "dead")
+                          ("run", "fallback", "dead")
                           if name in dist)
         lines.append(f"  survival rungs: {rungs}")
         mttr = self.mttr_ns()

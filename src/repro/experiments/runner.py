@@ -9,7 +9,7 @@ Usage::
     python -m repro.experiments.runner profile figure16 --config fc2
     python -m repro.experiments.runner figure16 --profile overlap.json
     python -m repro.experiments.runner scaleout --trace run.trace.json
-    python -m repro.experiments.runner trace run.trace.json --timeline
+    python -m repro.experiments.runner trace run.trace.json --json -
     python -m repro.experiments.runner surrogate --cases 10000 --jobs 8
 
 Sub-layer sweep cases are cached persistently (content-addressed, under
@@ -57,7 +57,7 @@ EXPERIMENTS: Dict[str, Callable] = {
     "scaleout": scaleout.run,
     # Robustness study: speedup degradation under injected faults.
     "fault-sweep": fault_sweep.run,
-    # Resilience study: the recovery ladder vs a seeded fault campaign.
+    # Resilience study: in-run recovery vs a seeded fault campaign.
     "chaos": chaos.run,
     # Overlap-policy study: static vs adaptive MCA control.
     "adaptive": adaptive.run,
@@ -173,8 +173,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="T3 reproduction experiment runner",
         epilog="Additional subcommand: 'trace FILE [...]' — query a "
-               "saved execution trace (analysis passes, JSON reports, "
-               "terminal timeline); see 'trace --help'.")
+               "saved execution trace (analysis passes, JSON reports); "
+               "see 'trace --help'.")
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["all", "profile",
                                                        "surrogate"],

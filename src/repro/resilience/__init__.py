@@ -1,43 +1,21 @@
-"""Runtime resilience: fault detection, plan repair, graceful degradation.
+"""Runtime resilience: in-run fault recovery and graceful degradation.
 
-The layer has three floors, matching the paper's transparency story —
 T3's tracking/triggering hardware already *observes* every update, so
-the same telemetry that proves overlap can drive recovery:
+the same seams that prove overlap can drive recovery:
 
-* :mod:`repro.resilience.detect` — passive monitors (link health from
-  DMA service times, stragglers from Tracker trigger latency).
-* :mod:`repro.resilience.repair` — :class:`CollectivePlan` rebuilds
-  (ring reversal off a degraded link, straggler demotion, rank
-  exclusion), every result re-``validate()``-d.
 * :mod:`repro.resilience.runtime` — the in-run loop: DMA completion
   deadlines with bounded backoff re-issue, Tracker eviction restore,
   and a drain backstop; dormant until the first fault manifests so
   fault-free runs stay byte-identical.
-* :mod:`repro.resilience.policy` — every tunable plus the in-run state
-  machine and the cross-attempt ladder (retry -> repair -> fallback).
+* :mod:`repro.resilience.policy` — every tunable, the in-run state
+  machine and the rungs a chaos scenario can end on (run -> fallback).
 """
 
-from repro.resilience.detect import (
-    Diagnosis,
-    Ewma,
-    LinkFinding,
-    LinkHealthMonitor,
-    StragglerDetector,
-    StragglerFinding,
-)
 from repro.resilience.policy import (
     CollectiveStateMachine,
     LadderRung,
     ResiliencePolicy,
     RunState,
-    ScenarioLadder,
-)
-from repro.resilience.repair import (
-    RepairResult,
-    demote_rank,
-    exclude_rank,
-    repair_for_diagnosis,
-    reroute_off_link,
 )
 from repro.resilience.runtime import (
     RESILIENCE_SCOPE,
@@ -47,22 +25,10 @@ from repro.resilience.runtime import (
 
 __all__ = [
     "CollectiveStateMachine",
-    "Diagnosis",
-    "Ewma",
     "LadderRung",
-    "LinkFinding",
-    "LinkHealthMonitor",
     "RecoveryRecord",
-    "RepairResult",
     "ResiliencePolicy",
     "ResilienceRuntime",
     "RESILIENCE_SCOPE",
     "RunState",
-    "ScenarioLadder",
-    "StragglerDetector",
-    "StragglerFinding",
-    "demote_rank",
-    "exclude_rank",
-    "repair_for_diagnosis",
-    "reroute_off_link",
 ]

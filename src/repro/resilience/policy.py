@@ -1,30 +1,22 @@
-"""Resilience policy knobs + the per-collective degradation ladder.
-
-Two small state machines live here:
+"""Resilience policy knobs, the in-run state machine and chaos rungs.
 
 * :class:`RunState` — the *in-run* view of one fused collective: healthy
   until the first fault manifests, then degraded/recovering, ending
   recovered (every lost notification re-issued, every evicted region
   restored) or failed (budgets exhausted — the run must be abandoned).
-* :class:`ScenarioLadder` — the *cross-attempt* policy ladder a chaos
-  scenario walks: ``RETRY`` (same plan, escalated deadlines/budgets) ->
-  ``REPAIR`` (rebuild the :class:`~repro.collectives.plan.CollectivePlan`
-  around the diagnosis) -> ``FALLBACK`` (plan-driven Sequential instead
-  of fused T3-MCA).  Every transition is counted in the ``obs``
-  ``resilience`` scope so campaigns can report detections / repairs /
-  fallbacks and time-to-detect / time-to-recover distributions.
+  Every transition is counted in the ``obs`` ``resilience`` scope.
+* :class:`LadderRung` — how a chaos scenario ended: ``RUN`` (the
+  resilient fused run survived), ``FALLBACK`` (plan-driven Sequential on
+  the same faulty machine) or ``DEAD`` (that failed too).
 
-:class:`ResiliencePolicy` bundles every tunable: deadline slack, retry
-budgets, exponential backoff, EWMA smoothing and degradation thresholds.
-``escalated(attempt)`` derives the retry-rung policy — doubled deadlines
-and budgets — so a deterministic re-run is meaningfully more permissive
-instead of replaying the identical failure.
+:class:`ResiliencePolicy` bundles every in-run tunable: deadline slack,
+retry budgets and exponential backoff.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class RunState(enum.Enum):
@@ -37,11 +29,9 @@ class RunState(enum.Enum):
 
 
 class LadderRung(enum.Enum):
-    """Cross-attempt degradation ladder, in escalation order."""
+    """How a chaos scenario ended, in escalation order."""
 
-    RUN = "run"                 # first attempt, pristine plan
-    RETRY = "retry"             # re-run, escalated deadlines/budgets
-    REPAIR = "repair"           # re-run on a repaired plan
+    RUN = "run"                 # the resilient fused run survived
     FALLBACK = "fallback"       # plan-driven Sequential baseline
     DEAD = "dead"               # nothing left to try
 
@@ -53,9 +43,6 @@ _RUN_TRANSITIONS = {
     RunState.RECOVERED: {RunState.DEGRADED},  # a later fault re-degrades
     RunState.FAILED: set(),
 }
-
-_LADDER_ORDER = (LadderRung.RUN, LadderRung.RETRY, LadderRung.REPAIR,
-                 LadderRung.FALLBACK, LadderRung.DEAD)
 
 
 @dataclass(frozen=True)
@@ -89,49 +76,16 @@ class ResiliencePolicy:
     #: ``regions_programmed / evict_every`` restores.  The budget exists
     #: to bound livelock, not to cap honest recovery.
     max_restores_per_region: int = 64
-    #: EWMA smoothing for link-health / straggler monitors.
-    ewma_alpha: float = 0.25
-    #: observed/expected service ratio above which a link is degraded.
-    link_degraded_threshold: float = 1.6
-    #: trigger-latency ratio vs the fleet median above which a rank is a
-    #: straggler.
-    straggler_threshold: float = 1.5
-    #: minimum samples before a monitor may flag anything.  A ring rank
-    #: issues only ``n_chunks - 2`` coarse DMA transfers per collective,
-    #: so per-link sample counts are inherently small.
-    min_samples: int = 2
 
     def __post_init__(self) -> None:
         if self.deadline_slack < 1.0:
             raise ValueError("deadline_slack must be >= 1.0")
         if self.backoff < 1.0:
             raise ValueError("backoff must be >= 1.0")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.max_deadline_extensions < 0 or \
                 self.max_reissues_per_command < 0 or \
                 self.max_restores_per_region < 0:
             raise ValueError("budgets cannot be negative")
-        if self.link_degraded_threshold <= 1.0 or \
-                self.straggler_threshold <= 1.0:
-            raise ValueError("degradation thresholds must exceed 1.0")
-
-    def escalated(self, attempt: int) -> "ResiliencePolicy":
-        """The policy for retry rung ``attempt`` (1-based): deadlines and
-        budgets doubled per rung, so a deterministic re-run genuinely
-        differs from the failed one instead of replaying it."""
-        if attempt < 1:
-            raise ValueError("escalation attempts are 1-based")
-        scale = 2.0 ** attempt
-        return replace(
-            self,
-            deadline_slack=self.deadline_slack * scale,
-            deadline_floor_ns=self.deadline_floor_ns * scale,
-            max_deadline_extensions=self.max_deadline_extensions + attempt,
-            max_reissues_per_command=int(
-                self.max_reissues_per_command * scale),
-            max_restores_per_region=int(self.max_restores_per_region * scale),
-        )
 
 
 class CollectiveStateMachine:
@@ -163,46 +117,3 @@ class CollectiveStateMachine:
     @property
     def ever_degraded(self) -> bool:
         return bool(self.transitions)
-
-
-class ScenarioLadder:
-    """The cross-attempt degradation ladder for one chaos scenario.
-
-    ``next_rung()`` yields rungs in escalation order; callers record the
-    outcome per rung with :meth:`settled`.  ``REPAIR`` is skipped
-    automatically when the diagnosis offers no plan repair (the caller
-    passes ``can_repair=False``).
-    """
-
-    def __init__(self, max_retries: int = 1):
-        if max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        self.max_retries = max_retries
-        self.history: list = []
-        self._retries_used = 0
-        self.rung = LadderRung.RUN
-
-    def settled(self, rung: LadderRung, survived: bool) -> None:
-        self.history.append((rung, survived))
-
-    def next_rung(self, can_repair: bool = True) -> LadderRung:
-        """Escalate: the rung to try after the current one failed."""
-        if self.rung is LadderRung.RUN and self.max_retries > 0:
-            self._retries_used = 1
-            self.rung = LadderRung.RETRY
-        elif self.rung is LadderRung.RETRY \
-                and self._retries_used < self.max_retries:
-            self._retries_used += 1
-        elif self.rung in (LadderRung.RUN, LadderRung.RETRY) and can_repair:
-            self.rung = LadderRung.REPAIR
-        elif self.rung in (LadderRung.RUN, LadderRung.RETRY,
-                           LadderRung.REPAIR):
-            self.rung = LadderRung.FALLBACK
-        else:
-            self.rung = LadderRung.DEAD
-        return self.rung
-
-    @property
-    def retry_attempt(self) -> int:
-        """1-based escalation attempt while on the RETRY rung."""
-        return self._retries_used

@@ -1,16 +1,10 @@
-"""The resilience runtime: detect, repair, degrade gracefully.
+"""The resilience runtime: in-run fault recovery.
 
 One :class:`ResilienceRuntime` is attached to an
 :class:`~repro.sim.engine.Environment` as ``env.resilience`` (``None`` by
 default, like ``env.trace`` / ``env.faults``).  Components report into it
 at their natural seams and it closes the loop:
 
-* **passive monitoring** — every link transfer feeds the
-  :class:`~repro.resilience.detect.LinkHealthMonitor` (observed service
-  vs the link's *nominal* pre-degradation model) and every Tracker
-  region completion feeds the
-  :class:`~repro.resilience.detect.StragglerDetector`.  Monitoring
-  schedules no events and never perturbs the simulation.
 * **deadline recovery** — each triggered DMA command registers a watch.
   Watches stay dormant until the first fault actually manifests (the
   :class:`~repro.faults.injector.FaultInjector` reports realized events
@@ -35,14 +29,9 @@ The dormant-until-fault arming is what keeps fault-free runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.resilience.detect import (
-    Diagnosis,
-    LinkHealthMonitor,
-    StragglerDetector,
-)
 from repro.resilience.policy import (
     CollectiveStateMachine,
     ResiliencePolicy,
@@ -84,8 +73,6 @@ class ResilienceRuntime:
     def __init__(self, policy: Optional[ResiliencePolicy] = None):
         self.policy = policy or ResiliencePolicy()
         self.env = None
-        self.link_monitor = LinkHealthMonitor(self.policy)
-        self.straggler_detector = StragglerDetector(self.policy)
         self.machine = CollectiveStateMachine()
         self._armed = False
         self._watches: Dict[Tuple[int, str], _DmaWatch] = {}
@@ -144,7 +131,7 @@ class ResilienceRuntime:
 
         Called by the :class:`~repro.faults.injector.FaultInjector` every
         time it realizes a fault event.  The first call flips the runtime
-        from passive monitoring to active deadline enforcement.
+        from passive watch registration to active deadline enforcement.
         """
         self.detections += 1
         self._mark(f"detected.{kind}", gpu_id)
@@ -264,27 +251,6 @@ class ResilienceRuntime:
         if self.machine.state is RunState.DEGRADED:
             self.machine.to(RunState.RECOVERED)
         return True
-
-    # -- passive telemetry feeds -------------------------------------------------
-
-    def observe_link_service(self, src: int, dst: int, observed_ns: float,
-                             expected_ns: float) -> None:
-        """Feed one link transfer's service time (stall + serialization +
-        latency, queueing excluded) into the link-health monitor.  Called
-        by :class:`~repro.sim.primitives.Pipe` per transfer."""
-        self.link_monitor.observe(src, dst, observed_ns=observed_ns,
-                                  expected_ns=expected_ns)
-
-    def observe_trigger_latency(self, gpu_id: int, latency_ns: float) -> None:
-        """Feed one Tracker region-completion latency into the straggler
-        detector."""
-        self.straggler_detector.observe(gpu_id, latency_ns)
-
-    def diagnosis(self) -> Diagnosis:
-        """Snapshot of what the monitors currently believe is wrong."""
-        return Diagnosis(
-            degraded_links=self.link_monitor.findings(),
-            stragglers=self.straggler_detector.findings())
 
     # -- Tracker eviction recovery ----------------------------------------------
 

@@ -15,7 +15,6 @@ are written in:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Iterable, List, Optional
 
 from repro.sim.engine import BaseEvent, Environment, SimulationError
@@ -359,8 +358,8 @@ class Pipe:
         self.endpoints: Optional[tuple[int, int]] = None
         #: healthy (pre-fault-degradation) parameters; the topology
         #: overwrites these when wiring under a fault plan so resilience
-        #: monitors can compare observed service against the *intended*
-        #: link model rather than the degraded one.
+        #: DMA deadlines derive from the *intended* link model rather
+        #: than the degraded one.
         self.nominal_bandwidth = bandwidth_bytes_per_ns
         self.nominal_latency_ns = latency_ns
         self._wire_free_at = 0.0
@@ -397,15 +396,6 @@ class Pipe:
         self._wire_free_at = start + serialization
         self.bytes_sent += nbytes
         self.busy_time += serialization
-        resilience = env.resilience
-        if resilience is not None and endpoints is not None:
-            # Passive link-health feed: service time excluding queueing
-            # (contention is not degradation) vs the nominal link model.
-            resilience.observe_link_service(
-                endpoints[0], endpoints[1],
-                observed_ns=stall + serialization + self.latency,
-                expected_ns=(self.nominal_latency_ns
-                             + nbytes / self.nominal_bandwidth))
         obs = env.obs
         if obs is not None:
             src = endpoints[0] if endpoints is not None else -1

@@ -156,8 +156,7 @@ class FusedGEMMRS:
                  n_cus: Optional[int] = None, stagger: bool = True,
                  calibrate_mca: bool = False, check_invariants: bool = True,
                  tracker_granularity: str = "wg",
-                 collective: str = "ring-rs", split_k: int = 1,
-                 plan: Optional[CollectivePlan] = None):
+                 collective: str = "ring-rs", split_k: int = 1):
         """``collective`` selects the address-space pattern: ``"ring-rs"``
         (the paper's main mechanism, Figure 7; on a hierarchical topology
         this becomes the two-phase multi-node plan), ``"direct-rs"``
@@ -169,10 +168,7 @@ class FusedGEMMRS:
         ``split_k`` models split-K GEMM kernels (Section 7.7): ``split_k``
         co-operating WGs each issue partial updates per tile, and the
         Tracker triggers only after all of them (plus the incoming
-        contribution) have landed.
-
-        ``plan`` overrides the topology-derived collective plan (tests /
-        custom schedules); it must match the topology's rank count."""
+        contribution) have landed."""
         if collective not in ("ring-rs", "direct-rs", "all-to-all"):
             raise ValueError(f"unsupported fused collective {collective!r}")
         if split_k < 1:
@@ -192,17 +188,12 @@ class FusedGEMMRS:
         #: traffic label for the communication half of the fusion.
         self.comm_label = "rs" if collective != "all-to-all" else "a2a"
 
-        n = self.system.n_gpus
-        if plan is None:
-            # Graceful small-shape chunking: a tiny output that cannot be
-            # cut N ways gets a plan over fewer chunks instead of raising.
-            max_chunks = (output_tiles(shape, self.system)
-                          if collective == "ring-rs" else None)
-            plan = plan_for(topology, collective, max_chunks=max_chunks,
-                            split_k=split_k, stagger=self.stagger)
-        if plan.n_ranks != n:
-            raise ValueError(
-                f"plan covers {plan.n_ranks} ranks but the topology has {n}")
+        # Graceful small-shape chunking: a tiny output that cannot be cut
+        # N ways gets a plan over fewer chunks instead of raising.
+        max_chunks = (output_tiles(shape, self.system)
+                      if collective == "ring-rs" else None)
+        plan = plan_for(topology, collective, max_chunks=max_chunks,
+                        split_k=split_k, stagger=self.stagger)
         self.plan = plan
         #: one rank per simulated GPU (all of them on a full topology).
         ranks = range(len(topology.gpus))

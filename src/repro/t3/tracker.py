@@ -23,7 +23,7 @@ regions in ``"wf"`` mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import TrackerConfig
@@ -255,10 +255,6 @@ class Tracker:
                         self.env.now, latency)
                 scope.gauge("live_regions").set(
                     self.env.now, self.live_regions)
-            if self.env is not None and self.env.resilience is not None \
-                    and self._crediting_issued_at is not None:
-                self.env.resilience.observe_trigger_latency(
-                    self.gpu_id, self.env.now - self._crediting_issued_at)
             self._feed_pressure()
             for fn in self._on_complete:
                 fn(key)

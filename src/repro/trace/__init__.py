@@ -1,4 +1,4 @@
-"""Trace intelligence: query, analyze and view saved simulation runs.
+"""Trace intelligence: query and analyze saved simulation runs.
 
 The package turns any saved Chrome/Perfetto trace (or a live
 ``TraceRecorder`` + ``MetricsRegistry`` pair) into an explorable
@@ -10,10 +10,10 @@ artifact:
   compute/hidden/exposed math, post-hoc and bit-identical,
 * :mod:`repro.trace.passes` — built-in analysis passes
   (``runner trace --list-passes``),
-* :mod:`repro.trace.tui` — the terminal timeline renderer/viewer,
 * :mod:`repro.trace.cli` — the ``runner trace`` subcommand.
 
-See ``docs/tracing.md`` for the format contract and a tour.
+See ``docs/tracing.md`` for the format contract and a tour; the saved
+trace opens in the Perfetto UI, which is its timeline viewer.
 """
 
 from repro.trace.decomposition import (attribute_plan_stages_query,
@@ -23,7 +23,6 @@ from repro.trace.decomposition import (attribute_plan_stages_query,
 from repro.trace.passes import PASSES, PassResult, run_passes
 from repro.trace.query import (ChunkFlow, CriticalStep, TraceQuery,
                                TrackSummary, counter_view)
-from repro.trace.tui import render_timeline
 
 __all__ = [
     "TraceQuery", "TrackSummary", "ChunkFlow", "CriticalStep",
@@ -32,5 +31,4 @@ __all__ = [
     "has_dram_spans", "attribute_stages_query",
     "attribute_plan_stages_query",
     "PASSES", "PassResult", "run_passes",
-    "render_timeline",
 ]

@@ -343,101 +343,3 @@ def test_plan_views_agree_across_layers(n, rank):
                     KCFG, n_cus=8, n_chunks=n, chunk_offset=rank,
                     stagger=True)
     assert grid.chunk_order() == order
-
-
-# ------------------------------------------------------------ plan repair
-
-from repro.collectives.plan import (  # noqa: E402
-    direct_rs_plan,
-    hierarchical_rs_plan,
-    ring_reduce_scatter_plan,
-)
-from repro.resilience.repair import (  # noqa: E402
-    demote_rank,
-    exclude_rank,
-    reroute_off_link,
-)
-
-
-def _plan_edges(plan):
-    """Every directed (src, dst) edge the plan's DMA steps use."""
-    return sorted({(rank_plan.rank, step.dst)
-                   for rank_plan in plan.ranks
-                   for step in rank_plan.steps})
-
-
-@given(n=st.integers(2, 16), pick=st.integers(0, 10**6))
-def test_ring_reroute_repair_always_validates(n, pick):
-    plan = ring_reduce_scatter_plan(n)
-    edges = _plan_edges(plan)
-    src, dst = edges[pick % len(edges)]
-    result = reroute_off_link(plan, src, dst)
-    result.plan.validate()          # never returns an invalid plan
-    assert result.plan.n_ranks == n
-    assert result.action in ("reversed", "unchanged")
-    if result.action == "reversed":
-        assert (src, dst) not in _plan_edges(result.plan)
-
-
-@given(n_nodes=st.integers(2, 4), per=st.integers(2, 4),
-       pick=st.integers(0, 10**6))
-def test_hierarchical_reroute_repair_always_validates(n_nodes, per, pick):
-    plan = hierarchical_rs_plan(n_nodes, per)
-    edges = _plan_edges(plan)
-    src, dst = edges[pick % len(edges)]
-    result = reroute_off_link(plan, src, dst)
-    result.plan.validate()
-    assert result.plan.n_ranks == n_nodes * per
-    assert result.action in ("reversed", "unchanged")
-    if result.action == "reversed":
-        assert (src, dst) not in _plan_edges(result.plan)
-
-
-@given(n=st.integers(2, 16), pick=st.integers(0, 10**6))
-def test_direct_reroute_is_honest_unchanged(n, pick):
-    """Direct plans use every pairwise edge; repair must not pretend."""
-    plan = direct_rs_plan(n)
-    routes = sorted({(rank_plan.rank, route.dst_gpu)
-                     for rank_plan in plan.ranks
-                     for route in rank_plan.routes.values()
-                     if route.dst_gpu is not None
-                     and route.dst_gpu != rank_plan.rank})
-    if not routes:
-        return
-    src, dst = routes[pick % len(routes)]
-    result = reroute_off_link(plan, src, dst)
-    result.plan.validate()
-    assert result.action == "unchanged"
-
-
-@given(n=st.integers(3, 16), chunks_off=st.integers(1, 14),
-       gpu=st.integers(0, 15))
-def test_demote_repair_always_validates(n, chunks_off, gpu):
-    n_chunks = max(2, n - (chunks_off % (n - 1)))
-    plan = ring_reduce_scatter_plan(n, n_chunks=n_chunks)
-    result = demote_rank(plan, gpu % n)
-    result.plan.validate()
-    assert result.plan.n_ranks == n
-    assert result.plan.n_chunks == plan.n_chunks
-    if n_chunks >= n:
-        assert result.action == "unchanged"
-
-
-@given(n=st.integers(3, 16), gpu=st.integers(0, 15))
-def test_exclude_repair_always_validates(n, gpu):
-    plan = ring_reduce_scatter_plan(n)
-    result = exclude_rank(plan, gpu % n)
-    result.plan.validate()
-    assert result.action == "rebuilt"
-    assert result.plan.n_ranks == n - 1
-
-
-@given(n_nodes=st.integers(2, 4), per=st.integers(2, 4),
-       gpu=st.integers(0, 15))
-def test_hierarchical_exclude_repair_always_validates(n_nodes, per, gpu):
-    plan = hierarchical_rs_plan(n_nodes, per)
-    n = n_nodes * per
-    result = exclude_rank(plan, gpu % n)
-    result.plan.validate()
-    assert result.action == "rebuilt"
-    assert result.plan.n_ranks == n - 1

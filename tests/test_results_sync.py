@@ -4,12 +4,15 @@
 when a simulator change shifts the numbers, the files must be
 regenerated.  Re-rendering every figure is minutes of simulation, so this
 test compares only the *cheap* experiments live against their
-checked-in bodies — the closed-form tables and Figure 4, plus the sweep
+checked-in bodies — the closed-form tables and Figure 4; the sweep
 figures 15, 16 and 18, which share one fast 16-case sweep (about 2 s now
 that fault-free suites simulate one rank per rotation orbit; the session
-sweep cache runs it once for all three).  Any drift in shared config,
-simulation or rendering code trips it immediately; the other figures
-are validated by the same mechanism whenever ``make results`` is run.
+sweep cache runs it once for all three); and the six Section 7 extension
+studies whose numbers EXPERIMENTS.md quotes (about 1 s each or less).
+Any drift in shared config, simulation or rendering code trips it
+immediately; the other figures are validated by the same mechanism
+whenever ``make results`` is run, and ``benchmarks/`` re-renders
+``chaos`` and the full-scale sweep figures.
 """
 
 import pathlib
@@ -23,7 +26,8 @@ RESULTS_DIR = REPO_ROOT / "results"
 
 #: experiments cheap enough to re-render on every test run.
 CHEAP = ("table1", "table2", "table3", "figure4", "figure15", "figure16",
-         "figure18")
+         "figure18", "generation", "precision", "following-ops",
+         "consumer-fusion", "in-switch", "dp-overlap")
 
 
 def body(text: str) -> str:

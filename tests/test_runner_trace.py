@@ -64,20 +64,6 @@ def test_json_to_file_creates_parents(trace_file, tmp_path, capsys):
     assert payload["passes"][0]["hidden_ns"] >= 0
 
 
-def test_timeline_flag_renders(trace_file, capsys):
-    assert trace_cli([str(trace_file), "--pass", "summary",
-                      "--timeline", "--width", "80"]) == 0
-    out = capsys.readouterr().out
-    assert "(us)" in out
-
-
-def test_tracks_filter_and_window(trace_file, capsys):
-    assert trace_cli([str(trace_file), "--pass", "summary", "--timeline",
-                      "--tracks", "dma", "--window", "0:20"]) == 0
-    out = capsys.readouterr().out
-    assert ".dma" in out
-
-
 def test_missing_file_is_an_error(capsys):
     assert trace_cli(["/nonexistent/run.trace.json"]) == 2
     assert "no such trace file" in capsys.readouterr().err
@@ -86,18 +72,6 @@ def test_missing_file_is_an_error(capsys):
 def test_unknown_pass_is_an_error(trace_file, capsys):
     assert trace_cli([str(trace_file), "--pass", "nonsense"]) == 2
     assert "nonsense" in capsys.readouterr().err
-
-
-def test_unmatched_tracks_is_an_error(trace_file, capsys):
-    assert trace_cli([str(trace_file), "--pass", "summary", "--timeline",
-                      "--tracks", "zzz"]) == 2
-    assert "no tracks match" in capsys.readouterr().err
-
-
-def test_bad_window_rejected(trace_file, capsys):
-    with pytest.raises(SystemExit):
-        trace_cli([str(trace_file), "--window", "20:0"])
-    assert "LO < HI" in capsys.readouterr().err
 
 
 # ------------------------------------------------- runner integration

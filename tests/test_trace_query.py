@@ -2,7 +2,7 @@
 
 A module-scoped fused TP=4 run (with registry + decomposition-grade
 trace) serves as the golden fixture: every query, join, decomposition,
-pass, and render is checked against it, including the headline contract
+and pass is checked against it, including the headline contract
 — post-hoc numbers from a saved file equal the live profiler's exactly.
 """
 
@@ -27,7 +27,6 @@ from repro.trace import (
     counter_view,
     decompose_query,
     has_dram_spans,
-    render_timeline,
     run_passes,
 )
 
@@ -227,23 +226,3 @@ def test_unknown_pass_raises(query):
 def test_trigger_latency_pass_finds_tracker_series(query):
     result = run_passes(query, ["trigger-latency"])[0]
     assert result.data.get("count", 0) > 0
-
-
-# --------------------------------------------------------------- timeline
-
-def test_render_timeline_headless(query):
-    text = render_timeline(query, width=80)
-    lines = text.splitlines()
-    assert len(lines) >= 3
-    assert any("%" in line for line in lines)  # per-track utilization
-    assert all(len(line) <= 140 for line in lines)
-
-
-def test_render_timeline_window_and_filter(query):
-    lo, hi = query.bounds()
-    dma_tracks = [t for t in query.tracks() if t.endswith(".dma")]
-    text = render_timeline(query, width=60, window=(lo, (lo + hi) / 2),
-                           tracks=dma_tracks)
-    lines = text.splitlines()
-    assert dma_tracks and len(lines) == len(dma_tracks) + 2
-    assert all(track in text for track in dma_tracks)
